@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import QuantumQcCode
-from .gf2 import mat_vec_mod2
 
 __all__ = [
     "PauliError",
@@ -76,15 +75,16 @@ def trial_rng(seed: int, point_index: int, trial_index: int) -> np.random.Genera
 
     Philox keyed by the (seed, point, trial) triple: the same triple
     always yields the same stream, regardless of how trials are
-    scheduled across workers.
+    scheduled across workers.  The key is [seed, point << 32 | trial],
+    so a value outside its field would alias another triple's stream;
+    such values raise ValueError instead of wrapping.
     """
-    key = np.array(
-        [
-            seed & 0xFFFFFFFFFFFFFFFF,
-            ((point_index & 0xFFFFFFFF) << 32) | (trial_index & 0xFFFFFFFF),
-        ],
-        dtype=np.uint64,
-    )
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    for name, index in (("point index", point_index), ("trial index", trial_index)):
+        if not 0 <= index < 2**32:
+            raise ValueError(f"{name} must be in [0, 2**32), got {index}")
+    key = np.array([seed, (point_index << 32) | trial_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -104,7 +104,10 @@ def sample_error(n: int, p_d: float, rng: np.random.Generator) -> PauliError:
 
 
 def extract_syndrome(code: QuantumQcCode, e: PauliError) -> Syndrome:
-    """Measure (s, t) = (H_Z @ x, H_X @ z) over GF(2)."""
+    """Measure (s, t) = (H_Z @ x, H_X @ z) over GF(2) on the decoder's Tanner graphs."""
     if e.n != code.n:
         raise ValueError(f"error length {e.n} does not match code length {code.n}")
-    return Syndrome(s=mat_vec_mod2(code.h_z, e.x), t=mat_vec_mod2(code.h_x, e.z))
+    return Syndrome(
+        s=code.h_z.tanner_graph().check_sums(e.x),
+        t=code.h_x.tanner_graph().check_sums(e.z),
+    )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -103,7 +104,10 @@ def _load_config_file(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     # Accept a manifest (config nested) or a bare config object.
-    return data.get("config", data) if isinstance(data, dict) else {}
+    cfg = data.get("config", data) if isinstance(data, dict) else None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: expected a JSON config object or a manifest")
+    return cfg
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -123,20 +127,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
     }
     if getattr(args, "config", None):
         file_cfg = _load_config_file(args.config)
-        cfg.update({k: v for k, v in file_cfg.items() if k in cfg})
-    flag_map = {
-        "p": args.p,
-        "p_grid": args.p_grid,
-        "seed": args.seed,
-        "max_iters": args.max_iters,
-        "llr_clip": args.llr_clip,
-        "damping": args.damping,
-        "min_frame_errors": args.min_frame_errors,
-        "max_trials": args.max_trials,
-        "threads": args.threads,
-        "max_logged_failures": args.max_logged_failures,
-    }
-    cfg.update({k: v for k, v in flag_map.items() if v is not None})
+        for key in file_cfg:  # dropping a misspelt max_trials would run the default
+            if key not in cfg:
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
+        cfg.update(file_cfg)
+    # Every key but pair_file is also the dest of the flag that sets it.
+    flags = {k: getattr(args, k, None) for k in cfg}
+    cfg.update({k: v for k, v in flags.items() if v is not None})
     if args.pair:
         cfg["pair_file"] = args.pair
     elif getattr(args, "builtin_3x8", False):
@@ -255,9 +252,7 @@ def cmd_floor(args: argparse.Namespace) -> int:
         frac = fractions[k]
         print(f"bit_errors <= {k}L ({k * args.l:4d} bits): {frac:.6f}")
     print("residual-weight histogram (bit_errors: count):")
-    hist: dict[int, int] = {}
-    for w in weights:
-        hist[w] = hist.get(w, 0) + 1
+    hist = Counter(weights)
     for w in sorted(hist):
         print(f"  {w}: {hist[w]}")
     return 0

@@ -11,6 +11,7 @@ loudly: nothing downstream is meaningful without these invariants.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf2 import RowSpace, SparseBinaryMatrix, gf2_rank, girth, mat_mul_mod2
+from .gf2 import RowSpace, SparseBinaryMatrix, gf2_rank, girth
 
 __all__ = [
     "ExponentMatrix",
@@ -237,12 +238,19 @@ class QuantumQcCode:
         return RowSpace(self.h_z)
 
 
-def _check_orthogonal(h_x: SparseBinaryMatrix, h_z: SparseBinaryMatrix, P: int):
-    """Return None if H_X @ H_Z^T = 0, else the first nonzero block (j, j')."""
-    prod = mat_mul_mod2(h_x, h_z.transpose())
-    for r, sup in enumerate(prod.row_support):
-        if sup.size:
-            return r // P, int(sup[0]) // P
+def _check_orthogonal(e_x: ExponentMatrix, e_z: ExponentMatrix, P: int):
+    """Return None if H_X @ H_Z^T = 0 at size P, else the first nonzero block (j, j').
+
+    Block (j, j') is the sum over l of CPM(a_jl - b_j'l): zero iff every
+    residue (a_jl - b_j'l) mod P occurs an even number of times (Hagiwara
+    and Imai, ISIT 2007).  A nonzero block is a nonzero circulant, so the
+    first one in row-major order holds the product's first nonzero row.
+    """
+    for j, a_row in enumerate(e_x.entries):
+        for jz, b_row in enumerate(e_z.entries):
+            residues = Counter((a - b) % P for a, b in zip(a_row, b_row))
+            if any(count % 2 for count in residues.values()):
+                return j, jz
     return None
 
 
@@ -275,22 +283,21 @@ def build_code(pair: tuple[ExponentMatrix, ExponentMatrix], P: int) -> QuantumQc
     h_x = expand_exponent_matrix(e_x, P)
     h_z = expand_exponent_matrix(e_z, P)
 
-    bad = _check_orthogonal(h_x, h_z, P)
+    bad = _check_orthogonal(e_x, e_z, P)
     if bad is not None:
         raise CodeValidationError(
             f"H_X @ H_Z^T is nonzero at block ({bad[0]}, {bad[1]}); "
             "the exponent pair is not orthogonal at P = " + str(P)
         )
     for name, h in (("H_X", h_x), ("H_Z", h_z)):
-        rw = h.row_weights()
-        cw = h.col_weights()
-        if not np.all(rw == L):
+        try:
+            graph = h.tanner_graph()
+        except ValueError as exc:
+            raise CodeValidationError(f"{name}: {exc}") from None
+        if (graph.deg_check, graph.deg_var) != (L, J):
             raise CodeValidationError(
-                f"{name} row weight {int(rw[rw != L][0])} != {L}"
-            )
-        if not np.all(cw == J):
-            raise CodeValidationError(
-                f"{name} column weight {int(cw[cw != J][0])} != {J}"
+                f"{name} (row, column) weights ({graph.deg_check}, "
+                f"{graph.deg_var}) != ({L}, {J})"
             )
     return QuantumQcCode(e_x=e_x, e_z=e_z, P=P, J=J, L=L, n=P * L, h_x=h_x, h_z=h_z)
 
@@ -367,11 +374,9 @@ def scan_p(
     for P in p_values:
         if P < 2:
             raise ValueError(f"circulant size must be >= 2, got {P}")
-        h_x = expand_exponent_matrix(e_x, P)
-        h_z = expand_exponent_matrix(e_z, P)
         yield ScanResult(
             P=P,
-            orthogonal=_check_orthogonal(h_x, h_z, P) is None,
-            girth_x=girth(h_x),
-            girth_z=girth(h_z),
+            orthogonal=_check_orthogonal(e_x, e_z, P) is None,
+            girth_x=girth(expand_exponent_matrix(e_x, P)),
+            girth_z=girth(expand_exponent_matrix(e_z, P)),
         )

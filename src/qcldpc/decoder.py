@@ -21,6 +21,10 @@ Message rules (flooding schedule, LLR convention L = ln(P(0)/P(1))):
 The decoder checks the recomputed syndrome after every hard decision,
 starting from the prior-only decision before any message update, and
 stops on match or after max_iterations rounds.
+
+Both graphs are the :class:`~qcldpc.gf2.TannerGraph` layouts cached on
+the check matrices (the ones syndrome extraction reads), which also
+enforce the regularity the fixed-shape message arrays rely on.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .channel import Syndrome, depolarizing_prior
 from .codes import QuantumQcCode
-from .gf2 import SparseBinaryMatrix
+from .gf2 import SparseBinaryMatrix, TannerGraph
 
 __all__ = ["DecoderConfig", "DecodeOutcome", "JointBpDecoder", "decode"]
 
@@ -69,30 +73,6 @@ class DecodeOutcome:
     iterations: int
 
 
-class _Graph:
-    """Edge layout of one (J, L)-regular Tanner graph side."""
-
-    def __init__(self, M: SparseBinaryMatrix):
-        weights = M.row_weights()
-        if M.rows == 0 or not np.all(weights == weights[0]):
-            raise ValueError("decoder requires a row-regular check matrix")
-        self.m = M.rows
-        self.n = M.cols
-        self.deg_check = int(weights[0])
-        # Edge e = c * deg_check + k touches variable check_vars[c, k].
-        self.check_vars = np.vstack(M.row_support).astype(np.int64)
-        col_w = M.col_weights()
-        if not np.all(col_w == col_w[0]):
-            raise ValueError("decoder requires a column-regular check matrix")
-        self.deg_var = int(col_w[0])
-        order = np.argsort(self.check_vars.ravel(), kind="stable")
-        self.var_edges = order.reshape(self.n, self.deg_var)
-
-    def check_sums(self, bits: np.ndarray) -> np.ndarray:
-        """Parity of each check over the current hard decision."""
-        return np.bitwise_xor.reduce(bits[self.check_vars], axis=1)
-
-
 class JointBpDecoder:
     """Reusable decoder instance for one (H_X, H_Z) pair.
 
@@ -109,8 +89,8 @@ class JointBpDecoder:
         self.n = h_x.cols
         # Graph "x" constrains the x-component (rows of H_Z), "z" the
         # z-component (rows of H_X).
-        self.gx = _Graph(h_z)
-        self.gz = _Graph(h_x)
+        self.gx = h_z.tanner_graph()
+        self.gz = h_x.tanner_graph()
         self._m_c2v_x = np.zeros((self.gx.m, self.gx.deg_check))
         self._m_c2v_z = np.zeros((self.gz.m, self.gz.deg_check))
         self._post_x = np.zeros(self.n)
@@ -139,12 +119,11 @@ class JointBpDecoder:
         self._m_c2v_x.fill(0.0)
         self._m_c2v_z.fill(0.0)
 
-    def _lambda_sums(self) -> tuple[np.ndarray, np.ndarray]:
+    def _update_posteriors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Set the clipped hard-decision posteriors from the current
+        check messages; returns the unclipped totals lam + Lambda."""
         lam_sum_x = self._m_c2v_x.ravel()[self.gx.var_edges].sum(axis=1)
         lam_sum_z = self._m_c2v_z.ravel()[self.gz.var_edges].sum(axis=1)
-        return lam_sum_x, lam_sum_z
-
-    def _channel_terms(self, lam_sum_x, lam_sum_z) -> tuple[np.ndarray, np.ndarray]:
         ln_i, ln_x, ln_z, ln_y = self._log_prior
         chan_x = np.logaddexp(ln_i, ln_z - lam_sum_z) - np.logaddexp(
             ln_x, ln_y - lam_sum_z
@@ -152,14 +131,12 @@ class JointBpDecoder:
         chan_z = np.logaddexp(ln_i, ln_x - lam_sum_x) - np.logaddexp(
             ln_z, ln_y - lam_sum_x
         )
-        return chan_x, chan_z
-
-    def _update_posteriors(self) -> None:
-        lam_sum_x, lam_sum_z = self._lambda_sums()
-        chan_x, chan_z = self._channel_terms(lam_sum_x, lam_sum_z)
+        total_x = chan_x + lam_sum_x
+        total_z = chan_z + lam_sum_z
         clip = self.cfg.llr_clip
-        np.clip(chan_x + lam_sum_x, -clip, clip, out=self._post_x)
-        np.clip(chan_z + lam_sum_z, -clip, clip, out=self._post_z)
+        np.clip(total_x, -clip, clip, out=self._post_x)
+        np.clip(total_z, -clip, clip, out=self._post_z)
+        return total_x, total_z
 
     def posterior_llrs(self) -> tuple[np.ndarray, np.ndarray]:
         """Hard-decision LLRs of the current iteration (clipped, finite)."""
@@ -167,13 +144,7 @@ class JointBpDecoder:
             raise RuntimeError("decoder has no state; call reset() or decode() first")
         return self._post_x.copy(), self._post_z.copy()
 
-    def _hard_decision(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            (self._post_x < 0).astype(np.uint8),
-            (self._post_z < 0).astype(np.uint8),
-        )
-
-    def _check_update(self, graph: _Graph, m_c2v, v2c, syn_sign) -> np.ndarray:
+    def _check_update(self, graph: TannerGraph, m_c2v, v2c, syn_sign) -> np.ndarray:
         clip = self.cfg.llr_clip
         t = np.tanh(np.clip(v2c, -clip, clip) / 2.0)
         d = graph.deg_check
@@ -212,18 +183,13 @@ class JointBpDecoder:
             raise ValueError(f"t has length {t.shape}, expected {self.gz.m}")
 
         self._reset_messages(p_d)
-        clip = self.cfg.llr_clip
         sign_s = 1.0 - 2.0 * s.astype(np.float64)
         sign_t = 1.0 - 2.0 * t.astype(np.float64)
 
         for it in range(self.cfg.max_iterations + 1):
-            lam_sum_x, lam_sum_z = self._lambda_sums()
-            chan_x, chan_z = self._channel_terms(lam_sum_x, lam_sum_z)
-            total_x = chan_x + lam_sum_x
-            total_z = chan_z + lam_sum_z
-            np.clip(total_x, -clip, clip, out=self._post_x)
-            np.clip(total_z, -clip, clip, out=self._post_z)
-            x_hat, z_hat = self._hard_decision()
+            total_x, total_z = self._update_posteriors()
+            x_hat = (self._post_x < 0).astype(np.uint8)
+            z_hat = (self._post_z < 0).astype(np.uint8)
             if np.array_equal(self.gx.check_sums(x_hat), s) and np.array_equal(
                 self.gz.check_sums(z_hat), t
             ):

@@ -6,6 +6,9 @@ XOR is the additive group operation.  Matrices are stored row-sparse
 rows to Python integers (one bit per column) and eliminate with
 bit-parallel XOR, which is fast at the few-thousand-column scale this
 library operates at.
+A regular matrix caches its :class:`TannerGraph`, the edge layout that
+syndrome extraction and the decoder share; :func:`mat_vec_mod2` and
+:func:`mat_mul_mod2` stay as the slow references the tests compare with.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "SparseBinaryMatrix",
+    "TannerGraph",
     "RowSpace",
     "cpm_expand",
     "mat_mul_mod2",
@@ -49,7 +53,7 @@ class SparseBinaryMatrix:
     sorted and deduplicated.  Instances are treated as immutable.
     """
 
-    __slots__ = ("rows", "cols", "row_support", "_packed")
+    __slots__ = ("rows", "cols", "row_support", "_packed", "_tanner")
 
     def __init__(self, rows: int, cols: int, row_support) -> None:
         if rows < 0 or cols < 0:
@@ -68,6 +72,7 @@ class SparseBinaryMatrix:
         self.cols = cols
         self.row_support = tuple(canon)
         self._packed = None
+        self._tanner = None
 
     @classmethod
     def from_dense(cls, a) -> "SparseBinaryMatrix":
@@ -114,6 +119,12 @@ class SparseBinaryMatrix:
             self._packed = packed
         return self._packed
 
+    def tanner_graph(self) -> "TannerGraph":
+        """Edge layout of this (row- and column-regular) matrix; cached."""
+        if self._tanner is None:
+            self._tanner = TannerGraph(self)
+        return self._tanner
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseBinaryMatrix):
             return NotImplemented
@@ -131,6 +142,33 @@ class SparseBinaryMatrix:
 
     def __repr__(self) -> str:
         return f"SparseBinaryMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+class TannerGraph:
+    """Edge layout of a row- and column-regular binary matrix.
+
+    Edge e = c * deg_check + k joins check c to variable check_vars[c, k];
+    var_edges[v] lists variable v's deg_var edges in check order.  This is
+    the one place regularity is verified (ValueError otherwise).  The
+    arrays are read-only, so every user of the matrix shares one instance.
+    """
+
+    def __init__(self, M: SparseBinaryMatrix):
+        for kind, weights in (("row", M.row_weights()), ("column", M.col_weights())):
+            if weights.size == 0 or np.any(weights != weights[0]):
+                raise ValueError(f"not {kind}-regular: {kind} weights {np.unique(weights)}")
+        self.m = M.rows
+        self.check_vars = np.vstack(M.row_support)
+        self.deg_check = self.check_vars.shape[1]
+        order = np.argsort(self.check_vars.ravel(), kind="stable")
+        self.var_edges = order.reshape(M.cols, -1)
+        self.deg_var = self.var_edges.shape[1]
+        self.check_vars.flags.writeable = False
+        self.var_edges.flags.writeable = False
+
+    def check_sums(self, bits: np.ndarray) -> np.ndarray:
+        """Parity of each check over the bit vector (M @ bits over GF(2))."""
+        return np.bitwise_xor.reduce(bits[self.check_vars], axis=1)
 
 
 def cpm_expand(shift: int, P: int) -> SparseBinaryMatrix:

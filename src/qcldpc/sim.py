@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -70,8 +71,9 @@ class StopRule:
     max_trials: int = 1_000_000
 
     def __post_init__(self):
-        if self.min_frame_errors < 1 or self.max_trials < 1:
-            raise ValueError("stopping rule bounds must be >= 1")
+        # Trial indices are 32-bit fields of the trial key (see trial_rng).
+        if not (self.min_frame_errors >= 1 and 1 <= self.max_trials <= 2**32):
+            raise ValueError("stopping rule bounds must be >= 1, max_trials <= 2**32")
 
 
 @dataclass(frozen=True)
@@ -156,21 +158,19 @@ def _run_trial(
     return classify(code, truth, outcome, trial_index=trial_index)
 
 
-# Per-process cache so one worker builds the decoder and stabilizer
-# bases once per run instead of once per chunk.
-_worker_state: dict = {}
+# (code, decoder) of a pool worker, built once by _init_worker rather than per chunk.
+_worker: tuple[QuantumQcCode, JointBpDecoder] | None = None
 
 
-def _run_chunk(args) -> list[TrialRecord]:
-    token, code, p_d, cfg, seed, point_index, start, count = args
-    state = _worker_state.get(token)
-    if state is None:
-        decoder = JointBpDecoder.for_code(code, cfg)
-        _ = code.x_stabilizers  # build the stabilizer bases once per worker
-        _ = code.z_stabilizers
-        _worker_state.clear()
-        _worker_state[token] = state = (code, decoder)
-    code, decoder = state
+def _init_worker(code: QuantumQcCode, cfg: DecoderConfig) -> None:
+    global _worker
+    _worker = (code, JointBpDecoder.for_code(code, cfg))
+
+
+def _run_chunk(
+    p_d: float, seed: int, point_index: int, start: int, count: int
+) -> list[TrialRecord]:
+    code, decoder = _worker
     return [
         _run_trial(code, decoder, p_d, seed, point_index, t)
         for t in range(start, start + count)
@@ -247,21 +247,20 @@ def run_point(
     if not 0.0 <= p_d < 1.0:
         raise ValueError(f"p_d must be in [0, 1), got {p_d}")
     cfg = cfg or DecoderConfig()
-    token = (seed, point_index, id(code))
 
-    def chunk_args(chunk_idx: int):
+    def submit_chunk(pool: ProcessPoolExecutor, chunk_idx: int):
         start = chunk_idx * _CHUNK
         count = min(_CHUNK, stop.max_trials - start)
-        return (token, code, p_d, cfg, seed, point_index, start, count)
+        return pool.submit(_run_chunk, p_d, seed, point_index, start, count)
 
     n_chunks = (stop.max_trials + _CHUNK - 1) // _CHUNK
     records: list[TrialRecord] = []
     frame_errors = 0
 
-    def consume(chunk: list[TrialRecord]) -> bool:
-        """Fold one chunk; True when the stopping rule fires."""
+    def consume(trials: Iterable[TrialRecord]) -> bool:
+        """Fold trials in order; stops drawing (and returns True) once the rule fires."""
         nonlocal frame_errors
-        for rec in chunk:
+        for rec in trials:
             records.append(rec)
             if not rec.success:
                 frame_errors += 1
@@ -272,32 +271,24 @@ def run_point(
     if workers is None:
         workers = os.cpu_count() or 1
     if workers <= 1:
-        try:
-            for idx in range(n_chunks):
-                if consume(_run_chunk(chunk_args(idx))):
-                    break
-        finally:
-            _worker_state.clear()
+        decoder = JointBpDecoder.for_code(code, cfg)
+        consume(
+            _run_trial(code, decoder, p_d, seed, point_index, t)
+            for t in range(stop.max_trials)
+        )
     else:
         window = 2 * workers
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {
-                idx: pool.submit(_run_chunk, chunk_args(idx))
-                for idx in range(min(window, n_chunks))
-            }
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(code, cfg)
+        ) as pool:
+            # Chunks in submission (= trial) order, at most `window` ahead.
+            pending = deque(submit_chunk(pool, idx) for idx in range(min(window, n_chunks)))
             next_submit = len(pending)
-            done = False
-            for idx in range(n_chunks):
-                if done or idx not in pending:
-                    break
-                chunk = pending.pop(idx).result()
-                done = consume(chunk)
-                if not done and next_submit < n_chunks:
-                    pending[next_submit] = pool.submit(
-                        _run_chunk, chunk_args(next_submit)
-                    )
+            while pending and not consume(pending.popleft().result()):
+                if next_submit < n_chunks:
+                    pending.append(submit_chunk(pool, next_submit))
                     next_submit += 1
-            for fut in pending.values():
+            for fut in pending:
                 fut.cancel()
     return _aggregate(p_d, code.n, records, max_logged_failures)
 

@@ -29,6 +29,12 @@ def code25(pair):
 
 
 @pytest.fixture(scope="session")
+def code100(pair):
+    """The length-scaling code (n = 800)."""
+    return build_code(pair, GIRTH6_P_LARGE)
+
+
+@pytest.fixture(scope="session")
 def code5(pair):
     """Desk-size code (n = 40) for brute-force oracles."""
     return build_code(pair, 5)

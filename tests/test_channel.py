@@ -9,6 +9,7 @@ from qcldpc.channel import (
     sample_error,
     trial_rng,
 )
+from qcldpc.decoder import JointBpDecoder
 from qcldpc.gf2 import mat_vec_mod2
 
 
@@ -89,6 +90,25 @@ def test_trial_keys_do_not_collide_across_points():
     assert not (np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z))
 
 
+def test_trial_key_layout_is_seed_then_point_and_trial():
+    # Existing streams must not move: key = [seed, point << 32 | trial].
+    for seed, point, trial in [(9, 3, 17), (2**64 - 1, 2**32 - 1, 2**32 - 1), (0, 0, 0)]:
+        key = np.array([seed, (point << 32) | trial], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(8)
+        assert np.array_equal(trial_rng(seed, point, trial).random(8), want)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 2**32, 0), (0, 0, -1), (0, 0, 2**32)],
+)
+def test_trial_rng_rejects_keys_that_would_wrap(key):
+    # Masking would alias these onto other streams (seed -1 onto 2**64 - 1,
+    # trial 2**32 onto trial 0), so they are refused instead.
+    with pytest.raises(ValueError, match="must be in"):
+        trial_rng(*key)
+
+
 # ---------------------------------------------------------------------------
 # extract_syndrome
 
@@ -118,13 +138,18 @@ def test_row_of_hx_invisible_to_s(code5):
     assert not extract_syndrome(code5, e).s.any()
 
 
-def test_syndrome_matches_direct_product(code5):
+@pytest.mark.parametrize("code_name", ["code5", "code25", "code100"])
+def test_syndrome_matches_direct_product(code_name, request):
+    code = request.getfixturevalue(code_name)
     rng = np.random.default_rng(2)
-    x = (rng.random(code5.n) < 0.3).astype(np.uint8)
-    z = (rng.random(code5.n) < 0.3).astype(np.uint8)
-    syn = extract_syndrome(code5, PauliError(x=x, z=z))
-    assert np.array_equal(syn.s, mat_vec_mod2(code5.h_z, x))
-    assert np.array_equal(syn.t, mat_vec_mod2(code5.h_x, z))
+    x = (rng.random(code.n) < 0.3).astype(np.uint8)
+    z = (rng.random(code.n) < 0.3).astype(np.uint8)
+    syn = extract_syndrome(code, PauliError(x=x, z=z))
+    assert np.array_equal(syn.s, mat_vec_mod2(code.h_z, x))
+    assert np.array_equal(syn.t, mat_vec_mod2(code.h_x, z))
+    # The decoder checks its hard decisions on the very layouts used here.
+    decoder = JointBpDecoder.for_code(code)
+    assert decoder.gx is code.h_z.tanner_graph() and decoder.gz is code.h_x.tanner_graph()
 
 
 def test_syndrome_linearity(code5):

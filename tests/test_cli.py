@@ -169,6 +169,20 @@ def test_simulate_flags_override_config(tmp_path, capsys):
     assert manifest["config"]["p_grid"] == [0.3]
 
 
+@pytest.mark.parametrize("wrap", [False, True])
+def test_simulate_rejects_unknown_config_key(tmp_path, capsys, wrap):
+    # A misspelt key must not fall back to the 1,000,000-trial default.
+    cfg = {"p": 5, "p_grid": [0.3], "max_trial": 10}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tool": "qcldpc", "config": cfg} if wrap else cfg))
+    code, _, err = run_cli(
+        ["simulate", "--config", str(path), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 1
+    assert "max_trial" in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_simulate_missing_grid_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["simulate", "--builtin-3x8", "--p", "5", "--out", str(tmp_path)], capsys

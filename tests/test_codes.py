@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GIRTH6_P
 from oracles import dense_rank
 from qcldpc.codes import (
     CodeValidationError,
+    _check_orthogonal,
     ExponentMatrix,
     ExponentPairParseError,
     build_code,
@@ -138,6 +141,52 @@ def test_orthogonality_and_weights_every_p(pair, P):
     for h in (code.h_x, code.h_z):
         assert np.all(h.row_weights() == 8)
         assert np.all(h.col_weights() == 3)
+
+
+def product_first_block(e_x, e_z, P):
+    """Oracle: the block holding the first nonzero row of H_X @ H_Z^T."""
+    prod = mat_mul_mod2(expand_exponent_matrix(e_x, P), expand_exponent_matrix(e_z, P).transpose())
+    for r, sup in enumerate(prod.row_support):
+        if sup.size:
+            return r // P, int(sup[0]) // P
+    return None
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Random pairs, plus pairs with duplicated columns (always orthogonal,
+    since every residue appears twice) that may have one entry moved."""
+    J, L = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    entries = st.integers(-40, 40)
+
+    def matrix(width):
+        return draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                             min_size=J, max_size=J))
+
+    if L % 2 or draw(st.booleans()):
+        return ExponentMatrix.from_rows(matrix(L)), ExponentMatrix.from_rows(matrix(L))
+    a, b = matrix(L // 2), matrix(L // 2)
+    a, b = [row + row for row in a], [row + row for row in b]
+    if draw(st.booleans()):
+        side = draw(st.sampled_from([a, b]))
+        side[draw(st.integers(0, J - 1))][draw(st.integers(0, L - 1))] = draw(entries)
+    return ExponentMatrix.from_rows(a), ExponentMatrix.from_rows(b)
+
+
+_BUILTIN = builtin_pair_j3_l8()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=st.one_of(exponent_pairs(), st.just(_BUILTIN), st.just((_BUILTIN[0], _BUILTIN[0]))),
+    P=st.integers(2, 40),
+)
+def test_exponent_orthogonality_check_matches_product(pair, P):
+    bad = _check_orthogonal(*pair, P)
+    assert bad == product_first_block(*pair, P)
+    if bad is not None:
+        with pytest.raises(CodeValidationError, match=f"block \\({bad[0]}, {bad[1]}\\)"):
+            build_code(pair, P)
 
 
 def test_expansion_commutes_with_entry_reduction(pair):

@@ -170,6 +170,20 @@ def test_run_point_rejects_bad_rate(code5):
         run_point(code5, 1.0, StopRule(1, 10), seed=0, workers=1)
 
 
+def test_stop_rule_caps_trials_at_the_key_width():
+    # Trial 2**32 would reuse trial 0's random stream.
+    assert StopRule(1, 2**32).max_trials == 2**32
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        StopRule(1, 2**32 + 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_point_rejects_negative_seed(code5, workers):
+    # Seed -1 used to run seed 2**64 - 1's streams silently.
+    with pytest.raises(ValueError, match="seed"):
+        run_point(code5, 0.1, StopRule(1, 10), seed=-1, workers=workers)
+
+
 def test_run_sweep_single_point_matches_run_point(code5):
     cfg = DecoderConfig(max_iterations=30)
     sweep = run_sweep(code5, [0.2], StopRule(10, 300), seed=3, cfg=cfg, workers=1)
