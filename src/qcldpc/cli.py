@@ -110,6 +110,22 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
+def _check_config_value(where: str, key: str, value, default) -> None:
+    """Reject a config value of the wrong JSON type; null only where the default is null."""
+    numbers = (int, float)  # exact types, so JSON true/false is not a number
+    if key == "pair_file":
+        ok, what = type(value) is str, "a string or null"
+    elif key == "p_grid":
+        ok = type(value) is list and all(type(v) in numbers for v in value)
+        what = "a list of numbers"
+    elif key in ("llr_clip", "damping"):
+        ok, what = type(value) in numbers, "a number"
+    else:
+        ok, what = type(value) is int, "an integer"
+    if not (ok or (value is None and default is None)):
+        raise ValueError(f"{where}: config key {key!r} must be {what}, got {json.dumps(value)}")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """Defaults < config file < explicit flags."""
     cfg = {
@@ -127,9 +143,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     }
     if getattr(args, "config", None):
         file_cfg = _load_config_file(args.config)
-        for key in file_cfg:  # dropping a misspelt max_trials would run the default
+        for key, value in file_cfg.items():  # dropping a misspelt max_trials would run the default
             if key not in cfg:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
+            _check_config_value(args.config, key, value, cfg[key])
         cfg.update(file_cfg)
     # Every key but pair_file is also the dest of the flag that sets it.
     flags = {k: getattr(args, k, None) for k in cfg}

@@ -8,10 +8,10 @@ bit-error count (positions where either component of the residual is
 set) is a diagnostic recorded on failures only and drives the BER.
 
 Trials are independent work items: per-trial randomness is keyed by
-(seed, point index, trial index), chunks of trials run on a process
-pool, and results are folded back in trial order.  The stopping rule
-(first of: F frame errors, T trials) is applied to that ordered stream,
-so a point's result is bit-identical for any worker count.
+(seed, point index, trial index), 25-trial chunks run on one process
+pool per sweep, and results are folded back in trial order.  The
+stopping rule (first of: F frame errors, T trials) cuts that ordered
+stream, so a point is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,7 +46,7 @@ __all__ = [
     "read_failure_log",
 ]
 
-_CHUNK = 250  # trials per work item; fixed so results never depend on workers
+_CHUNK = 25  # trials per work item; keyed trials fold in order, so it sets scheduling only
 _LOG2_3 = math.log2(3.0)
 
 
@@ -167,6 +169,16 @@ def _init_worker(code: QuantumQcCode, cfg: DecoderConfig) -> None:
     _worker = (code, JointBpDecoder.for_code(code, cfg))
 
 
+@contextmanager
+def _pool(code: QuantumQcCode, cfg: DecoderConfig, workers: int):
+    """A worker pool for `code`; leaving it drops the chunks not yet started."""
+    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(code, cfg))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _run_chunk(
     p_d: float, seed: int, point_index: int, start: int, count: int
 ) -> list[TrialRecord]:
@@ -236,24 +248,21 @@ def run_point(
     workers: int | None = None,
     point_index: int = 0,
     max_logged_failures: int = 1000,
+    *,
+    pool: ProcessPoolExecutor | None = None,
 ) -> PointResult:
     """Monte Carlo estimate of FER/BER at one physical error rate.
 
-    Trials run in fixed chunks on a process pool (workers=1 stays in
+    Trials run in 25-trial chunks on a process pool (workers=1 stays in
     process) and are folded in trial order, so the stopping rule cuts
     the stream at the same trial for any worker count: results are
-    bit-identical for a fixed (code, p_d, stop, seed, cfg).
+    bit-identical for a fixed (code, p_d, stop, seed, cfg).  `pool`, one
+    built for this code and cfg, is used and left open (run_sweep passes
+    one per sweep); without it the point opens its own.
     """
     if not 0.0 <= p_d < 1.0:
         raise ValueError(f"p_d must be in [0, 1), got {p_d}")
     cfg = cfg or DecoderConfig()
-
-    def submit_chunk(pool: ProcessPoolExecutor, chunk_idx: int):
-        start = chunk_idx * _CHUNK
-        count = min(_CHUNK, stop.max_trials - start)
-        return pool.submit(_run_chunk, p_d, seed, point_index, start, count)
-
-    n_chunks = (stop.max_trials + _CHUNK - 1) // _CHUNK
     records: list[TrialRecord] = []
     frame_errors = 0
 
@@ -270,25 +279,24 @@ def run_point(
 
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1:
+    if pool is None and workers <= 1:
         decoder = JointBpDecoder.for_code(code, cfg)
         consume(
             _run_trial(code, decoder, p_d, seed, point_index, t)
             for t in range(stop.max_trials)
         )
     else:
-        window = 2 * workers
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(code, cfg)
-        ) as pool:
-            # Chunks in submission (= trial) order, at most `window` ahead.
-            pending = deque(submit_chunk(pool, idx) for idx in range(min(window, n_chunks)))
-            next_submit = len(pending)
+        with nullcontext(pool) if pool is not None else _pool(code, cfg, workers) as pool:
+            chunks = (  # submitted lazily, in trial order
+                pool.submit(
+                    _run_chunk, p_d, seed, point_index, t, min(_CHUNK, stop.max_trials - t)
+                )
+                for t in range(0, stop.max_trials, _CHUNK)
+            )
+            pending = deque(islice(chunks, 2 * workers))  # keeps workers busy while one folds
             while pending and not consume(pending.popleft().result()):
-                if next_submit < n_chunks:
-                    pending.append(submit_chunk(pool, next_submit))
-                    next_submit += 1
-            for fut in pending:
+                pending.extend(islice(chunks, 1))
+            for fut in pending:  # the rule fired: drop this point's queued chunks
                 fut.cancel()
     return _aggregate(p_d, code.n, records, max_logged_failures)
 
@@ -305,25 +313,32 @@ def run_sweep(
     """One :func:`run_point` per grid value, monotone grid required.
 
     Each point gets an independent random stream via its grid index.
+    With workers > 1 all points share one process pool, so its workers
+    build their decoder once per sweep; it is shut down on any exit.
     """
     if len(p_grid) == 0:
         raise ValueError("p_grid must be non-empty")
     diffs = np.diff(np.asarray(p_grid, dtype=float))
     if len(p_grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("p_grid must be strictly increasing or decreasing")
-    return [
-        run_point(
-            code,
-            float(p),
-            stop,
-            seed,
-            cfg,
-            workers=workers,
-            point_index=i,
-            max_logged_failures=max_logged_failures,
-        )
-        for i, p in enumerate(p_grid)
-    ]
+    cfg = cfg or DecoderConfig()
+    if workers is None:
+        workers = os.cpu_count() or 1
+    with _pool(code, cfg, workers) if workers > 1 else nullcontext() as pool:
+        return [
+            run_point(
+                code,
+                float(p),
+                stop,
+                seed,
+                cfg,
+                workers=workers,
+                point_index=i,
+                max_logged_failures=max_logged_failures,
+                pool=pool,
+            )
+            for i, p in enumerate(p_grid)
+        ]
 
 
 def floor_statistics(

@@ -183,6 +183,46 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys, wrap):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("wrap", [False, True])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_trials", "10"),
+        ("seed", True),
+        ("p", 5.0),
+        ("threads", 1.5),
+        ("llr_clip", "25"),
+        ("damping", None),
+        ("p_grid", 0.3),
+        ("p_grid", [0.3, "0.2"]),
+        ("pair_file", 7),
+    ],
+)
+def test_simulate_rejects_config_value_of_wrong_type(tmp_path, capsys, wrap, key, value):
+    # "max_trials": "10" used to end in a TypeError traceback from StopRule.
+    cfg = {"p": 5, "p_grid": [0.3], "max_trials": 10, key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tool": "qcldpc", "config": cfg} if wrap else cfg))
+    code, _, err = run_cli(
+        ["simulate", "--config", str(path), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 1
+    assert err.startswith("error:") and repr(key) in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_simulate_accepts_null_where_the_default_is_null(tmp_path, capsys):
+    cfg = {"pair_file": None, "p": 5, "p_grid": [0.3], "threads": None, "max_trials": 10,
+           "llr_clip": 25, "damping": 0.5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, _ = run_cli(
+        ["simulate", "--config", str(path), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 0
+    assert len(data_rows((tmp_path / "out" / "sweep.csv").read_text())) == 1
+
+
 def test_simulate_missing_grid_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["simulate", "--builtin-3x8", "--p", "5", "--out", str(tmp_path)], capsys

@@ -1,10 +1,11 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from oracles import nullspace_basis, row_space_set
-from qcldpc import build_code
+from qcldpc import build_code, sim
 from qcldpc.channel import PauliError, extract_syndrome, sample_error, trial_rng
 from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder
 from qcldpc.gf2 import mat_vec_mod2
@@ -163,6 +164,60 @@ def test_run_point_deterministic_across_workers(code5):
     base = results[0]
     for res in results[1:]:
         assert res == base
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 250])
+def test_run_point_chunk_size_never_changes_results(code5, monkeypatch, chunk):
+    # Only the parent reads _CHUNK, and it is patched before the pool starts.
+    cfg = DecoderConfig(max_iterations=30)
+    stop = StopRule(12, 600)
+    base = run_point(code5, 0.25, stop, seed=9, cfg=cfg, workers=1, point_index=2)
+    assert base.trials < stop.max_trials and (chunk == 1 or base.trials % chunk)
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    pooled = run_point(code5, 0.25, stop, seed=9, cfg=cfg, workers=2, point_index=2)
+    assert pooled == base
+
+
+class _CountingPool(ProcessPoolExecutor):
+    """Records how many pools a sweep opens and how each is shut down."""
+
+    events: list = []
+
+    def __init__(self, *args, **kwargs):
+        self.events.append("open")
+        super().__init__(*args, **kwargs)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.events.append(("shutdown", cancel_futures))
+        super().shutdown(wait, cancel_futures=cancel_futures)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    monkeypatch.setattr(_CountingPool, "events", [])
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _CountingPool)
+    return _CountingPool.events
+
+
+def test_run_sweep_shares_one_pool_across_points(code5, counting_pool):
+    # Point 0 stops after a few trials, so chunks of it are still queued or
+    # running when point 1 starts on the same pool; none may leak into it.
+    cfg = DecoderConfig(max_iterations=30)
+    grid, stop = [0.3, 0.2, 0.1], StopRule(5, 300)
+    sweep = run_sweep(code5, grid, stop, seed=3, cfg=cfg, workers=2)
+    assert counting_pool == ["open", ("shutdown", True)]
+    alone = [
+        run_point(code5, p, stop, seed=3, cfg=cfg, workers=1, point_index=i)
+        for i, p in enumerate(grid)
+    ]
+    assert sweep == alone
+    assert sweep[0].trials < 50 and sweep[0].frame_errors == 5
+
+
+def test_run_sweep_shuts_pool_down_when_a_point_fails(code5, counting_pool):
+    with pytest.raises(ValueError, match="p_d"):
+        run_sweep(code5, [0.1, 0.5, 1.0], StopRule(1, 30), seed=0, workers=2)
+    assert counting_pool == ["open", ("shutdown", True)]
 
 
 def test_run_point_rejects_bad_rate(code5):
