@@ -25,6 +25,16 @@ stops on match or after max_iterations rounds.
 Both graphs are the :class:`~qcldpc.gf2.TannerGraph` layouts cached on
 the check matrices (the ones syndrome extraction reads), which also
 enforce the regularity the fixed-shape message arrays rely on.
+
+:meth:`JointBpDecoder.decode_batch` decodes B frames at once; the Monte
+Carlo driver calls it.  Its messages live in one edge-major (B, 2, d, m)
+array (frame, graph, edge slot, check), so both graphs of every frame
+update in one numpy call per step; this needs graphs of equal shape, as
+every built code has.  A frame leaves on the iteration where decode
+would return and the rest are compacted.  Every sum and product keeps
+decode's operand order, so each frame is bit-identical to decode, which
+stays the single-frame loop: the tests' reference, and the per-frame
+call the benchmark's traced replay times.
 """
 
 from __future__ import annotations
@@ -41,6 +51,16 @@ __all__ = ["DecoderConfig", "DecodeOutcome", "JointBpDecoder", "decode"]
 
 # Keep atanh arguments away from +/-1; only binds for llr_clip > ~35.
 _TANH_GUARD = 1.0 - 1e-15
+
+
+def _syndrome_bits(name: str, v, shape: tuple[int, ...]) -> np.ndarray:
+    """`v` as uint8 after checking its shape and that it holds only 0 and 1."""
+    v = np.asarray(v)
+    if v.shape != shape:
+        raise ValueError(f"{name} has shape {v.shape}, expected {shape}")
+    if not ((v == 0) | (v == 1)).all():
+        raise ValueError(f"{name} must hold only 0 and 1")
+    return v.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -96,6 +116,17 @@ class JointBpDecoder:
         self._post_x = np.zeros(self.n)
         self._post_z = np.zeros(self.n)
         self._log_prior = None
+        # decode_batch gathers: each variable's edges out of a frame's messages
+        # (edge (c, k) of graph g at g*d*m + k*m + c), each edge's variable
+        # out of its (2, n) totals.
+        if self.gx.check_vars.shape == self.gz.check_vars.shape:
+            m, d = self.gx.check_vars.shape
+            graphs = list(enumerate((self.gx, self.gz)))
+            self._var_idx = np.stack(
+                [(g.var_edges % d * m + g.var_edges // d).T + i * d * m for i, g in graphs]
+            )
+            self._check_idx = np.stack([g.check_vars.T + i * self.n for i, g in graphs])
+        self._work: dict[str, np.ndarray] = {}
 
     @classmethod
     def for_code(cls, code: QuantumQcCode,
@@ -175,12 +206,8 @@ class JointBpDecoder:
             DecodeOutcome; converged implies the recomputed syndrome
             equals the input.
         """
-        s = np.asarray(syn.s, dtype=np.uint8)
-        t = np.asarray(syn.t, dtype=np.uint8)
-        if s.shape != (self.gx.m,):
-            raise ValueError(f"s has length {s.shape}, expected {self.gx.m}")
-        if t.shape != (self.gz.m,):
-            raise ValueError(f"t has length {t.shape}, expected {self.gz.m}")
+        s = _syndrome_bits("s", syn.s, (self.gx.m,))
+        t = _syndrome_bits("t", syn.t, (self.gz.m,))
 
         self._reset_messages(p_d)
         sign_s = 1.0 - 2.0 * s.astype(np.float64)
@@ -204,6 +231,93 @@ class JointBpDecoder:
             v2c_z = total_z[self.gz.check_vars] - self._m_c2v_z
             self._m_c2v_x = self._check_update(self.gx, self._m_c2v_x, v2c_x, sign_s)
             self._m_c2v_z = self._check_update(self.gz, self._m_c2v_z, v2c_z, sign_t)
+        raise AssertionError("unreachable")
+
+    def _buffers(self, batch: int) -> dict[str, np.ndarray]:
+        """Work arrays for `batch` frames, grown to the largest batch seen."""
+        if len(self._work.get("msg", ())) < batch:
+            m, d = self.gx.check_vars.shape
+            self._work = {k: np.empty((batch, 2, d, m)) for k in ("msg", "new", "t", "pre", "suf")}
+            self._work |= {k: np.empty((batch, 2, self.n)) for k in ("lam", "aux", "total")}
+            self._work["gath"] = np.empty((batch, 2, self.gx.deg_var, self.n))
+        return {k: v[:batch] for k, v in self._work.items()}
+
+    def decode_batch(self, S, T, p_d: float) -> list[DecodeOutcome]:
+        """:meth:`decode` of B frames at once, each bit-identical to decode's.
+
+        S is (B, rows of H_Z), T is (B, rows of H_X), one frame per row;
+        returns one DecodeOutcome per row.  H_X and H_Z must have the
+        same shape and row weight.
+        """
+        if self.gx.check_vars.shape != self.gz.check_vars.shape:
+            raise ValueError("decode_batch needs H_X and H_Z of equal shape and row weight")
+        S, T = np.asarray(S), np.asarray(T)
+        S = _syndrome_bits("S", S, S.shape[:1] + (self.gx.m,))
+        T = _syndrome_bits("T", T, S.shape[:1] + (self.gz.m,))
+        self._reset_messages(p_d)  # validates p_d and sets the log prior as decode does
+        ln_i, ln_x, ln_z, ln_y = self._log_prior
+        self._log_prior = None  # no single-frame state is left for posterior_llrs
+        if not len(S):
+            return []
+        ln_other = np.array([[ln_z], [ln_x]])  # graph x's channel term reads z's sums
+        ln_own = np.array([[ln_x], [ln_z]])
+        clip, damping, cap = self.cfg.llr_clip, self.cfg.damping, self.cfg.max_iterations
+        syn = np.stack([S, T], axis=1)  # (B, 2, m)
+        sign2 = (1.0 - 2.0 * syn[:, :, None, :]) * 2.0
+        rows = np.arange(len(syn))  # frame index of each active row
+        outcomes: list[DecodeOutcome | None] = [None] * len(syn)
+        w = self._buffers(len(syn))
+        msg, new = w.pop("msg"), w.pop("new")
+        msg.fill(0.0)
+        for it in range(cap + 1):
+            # Totals lam + Lambda and the hard decision, as in _update_posteriors.
+            gath, total, aux = w["gath"], w["total"], w["aux"]
+            np.take(msg.reshape(len(msg), -1), self._var_idx, axis=1, out=gath, mode="wrap")
+            lam = np.sum(gath, axis=2, out=w["lam"])
+            other = lam[:, ::-1]
+            np.logaddexp(ln_i, np.subtract(ln_other, other, out=total), out=total)
+            np.logaddexp(ln_own, np.subtract(ln_y, other, out=aux), out=aux)
+            np.subtract(total, aux, out=total)
+            np.add(total, lam, out=total)
+            hard = (total < 0).view(np.uint8)
+            parity = np.bitwise_xor.reduce(hard.reshape(len(hard), -1)[:, self._check_idx], axis=2)
+            ok = (parity == syn).all(axis=(1, 2))
+            done = ok if it < cap and (p_d != 0.0 or it > 0) else np.ones_like(ok)
+            if done.any():
+                for r in np.flatnonzero(done):
+                    outcomes[rows[r]] = DecodeOutcome(
+                        x_hat=hard[r, 0].copy(), z_hat=hard[r, 1].copy(),
+                        converged=bool(ok[r]), iterations=it,
+                    )
+                keep = np.flatnonzero(~done)
+                if not len(keep):
+                    return outcomes
+                rows, syn, sign2 = rows[keep], syn[keep], sign2[keep]
+                msg[:len(keep)], total[:len(keep)] = msg[keep], total[keep]
+                msg, new = msg[:len(keep)], new[:len(keep)]
+                w = {k: v[:len(keep)] for k, v in w.items()}
+                total = w["total"]
+            # Check update, as in _check_update.
+            t, pre, suf = w["t"], w["pre"], w["suf"]
+            np.take(total.reshape(len(total), -1), self._check_idx, axis=1, out=t, mode="wrap")
+            np.subtract(t, msg, out=t)
+            np.clip(t, -clip, clip, out=t)
+            np.divide(t, 2.0, out=t)
+            np.tanh(t, out=t)
+            d = t.shape[2]
+            pre[:, :, 0] = suf[:, :, d - 1] = 1.0
+            for k in range(1, d):
+                np.multiply(pre[:, :, k - 1], t[:, :, k - 1], out=pre[:, :, k])
+                np.multiply(suf[:, :, d - k], t[:, :, d - k], out=suf[:, :, d - 1 - k])
+            np.multiply(pre, suf, out=pre)
+            np.clip(pre, -_TANH_GUARD, _TANH_GUARD, out=pre)
+            np.arctanh(pre, out=pre)
+            np.multiply(sign2, pre, out=new)
+            np.clip(new, -clip, clip, out=new)
+            if damping:
+                np.multiply(new, 1.0 - damping, out=new)
+                np.add(new, np.multiply(msg, damping, out=suf), out=new)
+            msg, new = new, msg
         raise AssertionError("unreachable")
 
 

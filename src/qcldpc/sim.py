@@ -8,10 +8,12 @@ bit-error count (positions where either component of the residual is
 set) is a diagnostic recorded on failures only and drives the BER.
 
 Trials are independent work items: per-trial randomness is keyed by
-(seed, point index, trial index), 25-trial chunks run on one process
-pool per sweep, and results are folded back in trial order.  The
-stopping rule (first of: F frame errors, T trials) cuts that ordered
-stream, so a point is bit-identical for any worker count.
+(seed, point index, trial index), and results are folded back in trial
+order.  Trials run in 25-trial chunks, on one process pool per sweep or,
+with one worker, in process; each chunk samples its trials one by one
+and decodes them as one BP batch.  The stopping rule (first of: F frame
+errors, T trials) cuts the ordered stream, so a point is bit-identical
+for any worker count and chunk size.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ __all__ = [
     "read_failure_log",
 ]
 
-_CHUNK = 25  # trials per work item; keyed trials fold in order, so it sets scheduling only
+# Trials per work item and BP batch.  Keyed trials fold in order, so it sets only
+# scheduling, the batch size and how much work runs past a point's stop rule.
+_CHUNK = 25
 _LOG2_3 = math.log2(3.0)
 
 
@@ -145,19 +149,26 @@ def classify(
     )
 
 
-def _run_trial(
+def _run_trials(
     code: QuantumQcCode,
     decoder: JointBpDecoder,
     p_d: float,
     seed: int,
     point_index: int,
-    trial_index: int,
-) -> TrialRecord:
-    rng = trial_rng(seed, point_index, trial_index)
-    truth = sample_error(code.n, p_d, rng)
-    syn = extract_syndrome(code, truth)
-    outcome = decoder.decode(syn, p_d)
-    return classify(code, truth, outcome, trial_index=trial_index)
+    start: int,
+    count: int,
+) -> list[TrialRecord]:
+    """Trials start .. start+count-1, sampled one by one and decoded as one batch."""
+    trials = range(start, start + count)
+    truths = [sample_error(code.n, p_d, trial_rng(seed, point_index, t)) for t in trials]
+    syns = [extract_syndrome(code, truth) for truth in truths]
+    outcomes = decoder.decode_batch(
+        np.array([syn.s for syn in syns]), np.array([syn.t for syn in syns]), p_d
+    )
+    return [
+        classify(code, truth, outcome, trial_index=t)
+        for t, truth, outcome in zip(trials, truths, outcomes)
+    ]
 
 
 # (code, decoder) of a pool worker, built once by _init_worker rather than per chunk.
@@ -171,22 +182,24 @@ def _init_worker(code: QuantumQcCode, cfg: DecoderConfig) -> None:
 
 @contextmanager
 def _pool(code: QuantumQcCode, cfg: DecoderConfig, workers: int):
-    """A worker pool for `code`; leaving it drops the chunks not yet started."""
+    """A worker pool for `code`, shut down on any exit.
+
+    Each run_point cancels its own queued chunks.  `cancel_futures=True`
+    is not used: on CPython 3.11 it deadlocks the shutdown when a chunk
+    has failed to pickle.
+    """
     pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(code, cfg))
     try:
         yield pool
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.shutdown()
 
 
 def _run_chunk(
     p_d: float, seed: int, point_index: int, start: int, count: int
 ) -> list[TrialRecord]:
     code, decoder = _worker
-    return [
-        _run_trial(code, decoder, p_d, seed, point_index, t)
-        for t in range(start, start + count)
-    ]
+    return _run_trials(code, decoder, p_d, seed, point_index, start, count)
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -253,10 +266,11 @@ def run_point(
 ) -> PointResult:
     """Monte Carlo estimate of FER/BER at one physical error rate.
 
-    Trials run in 25-trial chunks on a process pool (workers=1 stays in
-    process) and are folded in trial order, so the stopping rule cuts
-    the stream at the same trial for any worker count: results are
-    bit-identical for a fixed (code, p_d, stop, seed, cfg).  `pool`, one
+    Trials run in 25-trial chunks, each decoded as one batch, on a
+    process pool (workers=1 stays in process) and are folded in trial
+    order, so the stopping rule cuts the stream at the same trial for
+    any worker count: results are bit-identical for a fixed (code, p_d,
+    stop, seed, cfg).  `pool`, one
     built for this code and cfg, is used and left open (run_sweep passes
     one per sweep); without it the point opens its own.
     """
@@ -279,25 +293,27 @@ def run_point(
 
     if workers is None:
         workers = os.cpu_count() or 1
+    chunks = (  # (start, count), lazily and in trial order
+        (t, min(_CHUNK, stop.max_trials - t)) for t in range(0, stop.max_trials, _CHUNK)
+    )
     if pool is None and workers <= 1:
         decoder = JointBpDecoder.for_code(code, cfg)
         consume(
-            _run_trial(code, decoder, p_d, seed, point_index, t)
-            for t in range(stop.max_trials)
+            rec
+            for chunk in chunks
+            for rec in _run_trials(code, decoder, p_d, seed, point_index, *chunk)
         )
     else:
         with nullcontext(pool) if pool is not None else _pool(code, cfg, workers) as pool:
-            chunks = (  # submitted lazily, in trial order
-                pool.submit(
-                    _run_chunk, p_d, seed, point_index, t, min(_CHUNK, stop.max_trials - t)
-                )
-                for t in range(0, stop.max_trials, _CHUNK)
-            )
-            pending = deque(islice(chunks, 2 * workers))  # keeps workers busy while one folds
-            while pending and not consume(pending.popleft().result()):
-                pending.extend(islice(chunks, 1))
-            for fut in pending:  # the rule fired: drop this point's queued chunks
-                fut.cancel()
+            futures = (pool.submit(_run_chunk, p_d, seed, point_index, *c) for c in chunks)
+            pending = deque()
+            try:
+                pending.extend(islice(futures, 2 * workers))  # keeps workers busy while one folds
+                while pending and not consume(pending.popleft().result()):
+                    pending.extend(islice(futures, 1))
+            finally:  # the rule fired or a chunk failed: drop this point's queued chunks
+                for fut in pending:
+                    fut.cancel()
     return _aggregate(p_d, code.n, records, max_logged_failures)
 
 

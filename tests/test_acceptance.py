@@ -128,16 +128,20 @@ def test_criterion_05_weight_one_recovery(code25):
 
 def test_criterion_06_convergence_soundness(code25):
     trials_per_rate = 3400  # >= 10^4 random trials in total
+    batch = 25  # decoded as the Monte Carlo driver does, one chunk at a time
     violations = 0
     converged_seen = 0
     dec = JointBpDecoder.for_code(code25, DecoderConfig())
     for point, p_d in enumerate((0.02, 0.05, 0.08)):
-        for t in range(trials_per_rate):
-            rng = trial_rng(606, point, t)
-            e = sample_error(code25.n, p_d, rng)
-            syn = extract_syndrome(code25, e)
-            out = dec.decode(syn, p_d)
-            if out.converged:
+        for lo in range(0, trials_per_rate, batch):
+            syns = [
+                extract_syndrome(code25, sample_error(code25.n, p_d, trial_rng(606, point, t)))
+                for t in range(lo, min(lo + batch, trials_per_rate))
+            ]
+            outs = dec.decode_batch([syn.s for syn in syns], [syn.t for syn in syns], p_d)
+            for syn, out in zip(syns, outs):
+                if not out.converged:
+                    continue
                 converged_seen += 1
                 ok = np.array_equal(
                     mat_vec_mod2(code25.h_z, out.x_hat), syn.s

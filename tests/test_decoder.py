@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcldpc import build_code
 from qcldpc.channel import PauliError, Syndrome, extract_syndrome, sample_error, trial_rng
 from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder, decode
 from qcldpc.gf2 import SparseBinaryMatrix
@@ -99,6 +102,107 @@ def test_decode_rejects_wrong_syndrome_length(code25):
         decode(code25, syn, 0.05)
 
 
+@pytest.mark.parametrize("side", ["s", "t"])
+@pytest.mark.parametrize("value", [0.7, -1, 2])
+def test_decode_rejects_non_binary_syndrome(code25, side, value):
+    # 0.7 used to read as 0 and converge at once; -1 wrapped to 255.
+    syn = zero_syndrome(code25)
+    bad = getattr(syn, side).astype(type(value))
+    bad[3] = value
+    syn = Syndrome(**{**vars(syn), side: bad})
+    dec = JointBpDecoder.for_code(code25)
+    with pytest.raises(ValueError, match=f"^{side} must hold only 0 and 1"):
+        dec.decode(syn, 0.05)
+    with pytest.raises(ValueError, match=f"^{side.upper()} must hold only 0 and 1"):
+        dec.decode_batch([syn.s, syn.s], [syn.t, syn.t], 0.05)
+
+
+def test_decode_batch_rejects_mismatched_batches(code25):
+    syn = zero_syndrome(code25)
+    dec = JointBpDecoder.for_code(code25)
+    with pytest.raises(ValueError, match="^T has shape"):
+        dec.decode_batch([syn.s, syn.s], [syn.t], 0.05)
+    with pytest.raises(ValueError, match="^S has shape"):
+        dec.decode_batch(syn.s, syn.t, 0.05)  # one frame, not a batch of one
+    assert dec.decode_batch(np.zeros((0, code25.h_z.rows)), np.zeros((0, code25.h_x.rows)),
+                            0.05) == []
+
+
+def test_decode_batch_requires_graphs_of_equal_shape():
+    # A 2 x 4 H_X against a 1 x 4 H_Z: decode works, decode_batch cannot stack them.
+    h_x = SparseBinaryMatrix(2, 4, [[0, 1], [2, 3]])
+    h_z = SparseBinaryMatrix(1, 4, [[0, 1, 2, 3]])
+    dec = JointBpDecoder(h_x, h_z)
+    syn = Syndrome(s=np.zeros(1, dtype=np.uint8), t=np.array([1, 0], dtype=np.uint8))
+    assert dec.decode(syn, 0.1).iterations >= 0
+    with pytest.raises(ValueError, match="equal shape"):
+        dec.decode_batch([syn.s], [syn.t], 0.1)
+
+
+# ---------------------------------------------------------------------------
+# decode_batch against the frame-by-frame decode
+
+
+def assert_batch_matches_decode(dec, syns, p_d, want=None):
+    """decode_batch over syns gives, frame by frame, what decode gives (or `want`)."""
+    want = want or [dec.decode(syn, p_d) for syn in syns]
+    batch = dec.decode_batch([syn.s for syn in syns], [syn.t for syn in syns], p_d)
+    assert len(batch) == len(want)
+    for got, exp in zip(batch, want):
+        assert np.array_equal(got.x_hat, exp.x_hat) and got.x_hat.dtype == exp.x_hat.dtype
+        assert np.array_equal(got.z_hat, exp.z_hat) and got.z_hat.dtype == exp.z_hat.dtype
+        assert (got.converged, got.iterations) == (exp.converged, exp.iterations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 12),
+    p_d=st.sampled_from([0.0, 1e-3, 0.03, 0.08, 0.2]),
+    damping=st.sampled_from([0.0, 0.25, 0.6]),
+    llr_clip=st.sampled_from([1.5, 4.0, 25.0]),
+    max_iterations=st.integers(1, 25),
+    keyed=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_decode_batch_equals_decode_property(
+    code5, batch, p_d, damping, llr_clip, max_iterations, keyed, seed
+):
+    cfg = DecoderConfig(max_iterations=max_iterations, llr_clip=llr_clip, damping=damping)
+    dec = JointBpDecoder.for_code(code5, cfg)
+    if keyed:  # syndromes of channel errors (a larger rate, so that some decodes work)
+        syns = [
+            extract_syndrome(code5, sample_error(code5.n, max(p_d, 0.1), trial_rng(seed, 0, t)))
+            for t in range(batch)
+        ]
+    else:  # arbitrary syndrome pairs, most of them far from any low-weight error
+        rng = np.random.default_rng(seed)
+        syns = [
+            Syndrome(
+                s=rng.integers(0, 2, code5.h_z.rows).astype(np.uint8),
+                t=rng.integers(0, 2, code5.h_x.rows).astype(np.uint8),
+            )
+            for _ in range(batch)
+        ]
+    assert_batch_matches_decode(dec, syns, p_d)
+
+
+@pytest.mark.parametrize("p_d", [0.02, 0.05, 0.08])
+@pytest.mark.parametrize("P", [5, 25])
+def test_decode_batch_equals_decode_on_keyed_trials(pair, P, p_d):
+    # 84 keyed trials per case, cut into batches of 1, 7 and 25 (the
+    # Monte Carlo chunk; 84 = 3 * 25 + 9 leaves a short last batch).
+    code = build_code(pair, P)
+    dec = JointBpDecoder.for_code(code)
+    syns = [
+        extract_syndrome(code, sample_error(code.n, p_d, trial_rng(2024, P, t)))
+        for t in range(84)
+    ]
+    want = [dec.decode(syn, p_d) for syn in syns]
+    for batch in (1, 7, 25):
+        for lo in range(0, len(syns), batch):
+            assert_batch_matches_decode(dec, syns[lo:lo + batch], p_d, want[lo:lo + batch])
+
+
 # ---------------------------------------------------------------------------
 # correctness on structured errors
 
@@ -185,6 +289,10 @@ def test_llrs_bounded_by_clip(code25):
 def test_posterior_llrs_requires_state(code25):
     dec = JointBpDecoder.for_code(code25)
     with pytest.raises(RuntimeError):
+        dec.posterior_llrs()
+    dec.reset(0.1)
+    dec.decode_batch([zero_syndrome(code25).s], [zero_syndrome(code25).t], 0.05)
+    with pytest.raises(RuntimeError):  # a batch leaves no single-frame posteriors
         dec.posterior_llrs()
 
 

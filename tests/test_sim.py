@@ -1,5 +1,10 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,16 +184,25 @@ def test_run_point_chunk_size_never_changes_results(code5, monkeypatch, chunk):
 
 
 class _CountingPool(ProcessPoolExecutor):
-    """Records how many pools a sweep opens and how each is shut down."""
+    """Records how many pools a sweep opens, how each is shut down, and
+    how many submitted chunks were still pending (neither started nor
+    cancelled) at shutdown."""
 
     events: list = []
 
     def __init__(self, *args, **kwargs):
         self.events.append("open")
+        self.futures = []
         super().__init__(*args, **kwargs)
+
+    def submit(self, *args, **kwargs):
+        fut = super().submit(*args, **kwargs)
+        self.futures.append(fut)
+        return fut
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         self.events.append(("shutdown", cancel_futures))
+        self.events.append(("pending", sum(not (f.running() or f.done()) for f in self.futures)))
         super().shutdown(wait, cancel_futures=cancel_futures)
 
 
@@ -205,7 +219,7 @@ def test_run_sweep_shares_one_pool_across_points(code5, counting_pool):
     cfg = DecoderConfig(max_iterations=30)
     grid, stop = [0.3, 0.2, 0.1], StopRule(5, 300)
     sweep = run_sweep(code5, grid, stop, seed=3, cfg=cfg, workers=2)
-    assert counting_pool == ["open", ("shutdown", True)]
+    assert counting_pool == ["open", ("shutdown", False), ("pending", 0)]
     alone = [
         run_point(code5, p, stop, seed=3, cfg=cfg, workers=1, point_index=i)
         for i, p in enumerate(grid)
@@ -217,7 +231,35 @@ def test_run_sweep_shares_one_pool_across_points(code5, counting_pool):
 def test_run_sweep_shuts_pool_down_when_a_point_fails(code5, counting_pool):
     with pytest.raises(ValueError, match="p_d"):
         run_sweep(code5, [0.1, 0.5, 1.0], StopRule(1, 30), seed=0, workers=2)
-    assert counting_pool == ["open", ("shutdown", True)]
+    assert counting_pool == ["open", ("shutdown", False), ("pending", 0)]
+
+
+_UNPICKLABLE_CHUNK = """
+import pickle
+from qcldpc import build_code, builtin_pair_j3_l8, sim
+real = sim._run_chunk
+sim._run_chunk = lambda *args: real(*args)  # pickle cannot find a lambda by name
+try:
+    sim.run_point(build_code(builtin_pair_j3_l8(), 5), 0.05, sim.StopRule(5, 100), 1, workers=2)
+except pickle.PicklingError:
+    print("PicklingError")
+"""
+
+
+def test_run_point_raises_when_a_chunk_fails_to_pickle():
+    # Shutting down with cancel_futures=True after such a failure used to
+    # hang forever on CPython 3.11, with both workers left running.
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-c", _UNPICKLABLE_CHUNK], env=env,
+                            stdout=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run_point hung after a chunk failed to pickle")
+    assert proc.returncode == 0 and out.strip() == "PicklingError"
 
 
 def test_run_point_rejects_bad_rate(code5):
