@@ -290,9 +290,13 @@ def test_posterior_llrs_requires_state(code25):
     dec = JointBpDecoder.for_code(code25)
     with pytest.raises(RuntimeError):
         dec.posterior_llrs()
+
+
+def test_decode_batch_leaves_no_single_frame_posteriors(code25):
+    dec = JointBpDecoder.for_code(code25)
     dec.reset(0.1)
     dec.decode_batch([zero_syndrome(code25).s], [zero_syndrome(code25).t], 0.05)
-    with pytest.raises(RuntimeError):  # a batch leaves no single-frame posteriors
+    with pytest.raises(RuntimeError):
         dec.posterior_llrs()
 
 
