@@ -70,6 +70,16 @@ def depolarizing_prior(p_d: float) -> JointPrior:
     return JointPrior(p_ii=1.0 - p_d, p_x=q, p_z=q, p_y=q)
 
 
+def _trial_key(seed: int, point_index: int, trial_index: int) -> np.ndarray:
+    """Philox key [seed, point << 32 | trial]; a field out of range raises ValueError."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    for name, index in (("point index", point_index), ("trial index", trial_index)):
+        if not 0 <= index < 2**32:
+            raise ValueError(f"{name} must be in [0, 2**32), got {index}")
+    return np.array([seed, (point_index << 32) | trial_index], dtype=np.uint64)
+
+
 def trial_rng(seed: int, point_index: int, trial_index: int) -> np.random.Generator:
     """Counter-based random stream for one Monte Carlo trial.
 
@@ -79,13 +89,27 @@ def trial_rng(seed: int, point_index: int, trial_index: int) -> np.random.Genera
     so a value outside its field would alias another triple's stream;
     such values raise ValueError instead of wrapping.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    for name, index in (("point index", point_index), ("trial index", trial_index)):
-        if not 0 <= index < 2**32:
-            raise ValueError(f"{name} must be in [0, 2**32), got {index}")
-    key = np.array([seed, (point_index << 32) | trial_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_trial_key(seed, point_index, trial_index)))
+
+
+def trial_uniforms(seed: int, point_index: int, trials: range, n: int) -> np.ndarray:
+    """Row i is trial_rng(seed, point_index, trials[i]).random(n), from one
+    Philox re-keyed per trial (a new Philox draws OS entropy even when keyed)."""
+    bitgen = np.random.Philox()
+    rng, state = np.random.Generator(bitgen), bitgen.state  # zero counter, empty buffer
+    u = np.empty((len(trials), n))
+    for row, t in zip(u, trials):
+        state["state"]["key"] = _trial_key(seed, point_index, t)
+        bitgen.state = state
+        rng.random(out=row)
+    return u
+
+
+def pauli_bits(u: np.ndarray, p_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) bits of uniforms u: u < p/3 -> X, u < 2p/3 -> Y, u < p -> Z."""
+    x = (u < 2.0 * p_d / 3.0).astype(np.uint8)
+    z = ((u >= p_d / 3.0) & (u < p_d)).astype(np.uint8)
+    return x, z
 
 
 def sample_error(n: int, p_d: float, rng: np.random.Generator) -> PauliError:
@@ -93,13 +117,11 @@ def sample_error(n: int, p_d: float, rng: np.random.Generator) -> PauliError:
 
     Each qubit is untouched with probability 1 - p_d, otherwise X, Y,
     or Z uniformly.  One uniform draw per qubit decides both the event
-    and the Pauli: u < p/3 -> X, u < 2p/3 -> Y, u < p -> Z.
+    and the Pauli (see pauli_bits).
     """
     if not 0.0 <= p_d <= 1.0:
         raise ValueError(f"depolarizing rate must be in [0, 1], got {p_d}")
-    u = rng.random(n)
-    x = (u < 2.0 * p_d / 3.0).astype(np.uint8)
-    z = ((u >= p_d / 3.0) & (u < p_d)).astype(np.uint8)
+    x, z = pauli_bits(rng.random(n), p_d)
     return PauliError(x=x, z=z)
 
 

@@ -111,7 +111,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _check_config_value(where: str, key: str, value, default) -> None:
-    """Reject a config value of the wrong JSON type; null only where the default is null."""
+    """Reject a wrong JSON type or a value below its minimum; null only where the default is."""
     numbers = (int, float)  # exact types, so JSON true/false is not a number
     if key == "pair_file":
         ok, what = type(value) is str, "a string or null"
@@ -124,6 +124,9 @@ def _check_config_value(where: str, key: str, value, default) -> None:
         ok, what = type(value) is int, "an integer"
     if not (ok or (value is None and default is None)):
         raise ValueError(f"{where}: config key {key!r} must be {what}, got {json.dumps(value)}")
+    low = {"threads": 1, "max_logged_failures": 0}.get(key)
+    if low is not None and value is not None and value < low:
+        raise ValueError(f"{where}: {key!r} must be >= {low}, got {value}")
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -149,8 +152,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
             _check_config_value(args.config, key, value, cfg[key])
         cfg.update(file_cfg)
     # Every key but pair_file is also the dest of the flag that sets it.
-    flags = {k: getattr(args, k, None) for k in cfg}
-    cfg.update({k: v for k, v in flags.items() if v is not None})
+    flags = {k: v for k in cfg if (v := getattr(args, k, None)) is not None}
+    for key, value in flags.items():
+        _check_config_value("--" + key.replace("_", "-"), key, value, cfg[key])
+    cfg.update(flags)
     if args.pair:
         cfg["pair_file"] = args.pair
     elif getattr(args, "builtin_3x8", False):

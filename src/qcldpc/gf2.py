@@ -167,8 +167,9 @@ class TannerGraph:
         self.var_edges.flags.writeable = False
 
     def check_sums(self, bits: np.ndarray) -> np.ndarray:
-        """Parity of each check over the bit vector (M @ bits over GF(2))."""
-        return np.bitwise_xor.reduce(bits[self.check_vars], axis=1)
+        """M @ bits over GF(2): the check parities of a bit vector or of each row of a batch."""
+        gathered = bits[self.check_vars] if bits.ndim == 1 else bits[:, self.check_vars]
+        return np.bitwise_xor.reduce(gathered, axis=-1)
 
 
 def cpm_expand(shift: int, P: int) -> SparseBinaryMatrix:

@@ -10,27 +10,28 @@ set) is a diagnostic recorded on failures only and drives the BER.
 Trials are independent work items: per-trial randomness is keyed by
 (seed, point index, trial index), and results are folded back in trial
 order.  Trials run in 25-trial chunks, on one process pool per sweep or,
-with one worker, in process; each chunk samples its trials one by one
-and decodes them as one BP batch.  The stopping rule (first of: F frame
-errors, T trials) cuts the ordered stream, so a point is bit-identical
-for any worker count and chunk size.
+with one worker, in process; a chunk is sampled, decoded as one BP batch
+and judged as arrays, and pool workers skip the chunks of a stopped point.
+The stopping rule (first of: F frame errors, T trials) cuts the ordered
+stream, so a point is bit-identical for any worker count and chunk size.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count as counter, islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import PauliError, extract_syndrome, sample_error, trial_rng
+from .channel import PauliError, pauli_bits, trial_uniforms
 from .codes import QuantumQcCode
 from .decoder import DecodeOutcome, DecoderConfig, JointBpDecoder
 
@@ -158,37 +159,42 @@ def _run_trials(
     start: int,
     count: int,
 ) -> list[TrialRecord]:
-    """Trials start .. start+count-1, sampled one by one and decoded as one batch."""
+    """Trials start .. start+count-1 as (count, n) arrays, each record equal to
+    trial_rng .. classify of its trial; a zero residual skips the row-space test."""
     trials = range(start, start + count)
-    truths = [sample_error(code.n, p_d, trial_rng(seed, point_index, t)) for t in trials]
-    syns = [extract_syndrome(code, truth) for truth in truths]
-    outcomes = decoder.decode_batch(
-        np.array([syn.s for syn in syns]), np.array([syn.t for syn in syns]), p_d
-    )
+    x, z = pauli_bits(trial_uniforms(seed, point_index, trials, code.n), p_d)
+    s, t = code.h_z.tanner_graph().check_sums(x), code.h_x.tanner_graph().check_sums(z)
+    outcomes = decoder.decode_batch(s, t, p_d)
+    exact = ~(np.array([(o.x_hat, o.z_hat) for o in outcomes]) ^ np.stack((x, z), 1)).any((1, 2))
     return [
-        classify(code, truth, outcome, trial_index=t)
-        for t, truth, outcome in zip(trials, truths, outcomes)
+        TrialRecord(trial, o.converged, True, 0, 0, 0, o.iterations) if ok
+        else classify(code, PauliError(xi, zi), o, trial_index=trial)
+        for trial, xi, zi, o, ok in zip(trials, x, z, outcomes, exact)
     ]
 
 
-# (code, decoder) of a pool worker, built once by _init_worker rather than per chunk.
-_worker: tuple[QuantumQcCode, JointBpDecoder] | None = None
+# (code, decoder, stopped) of a pool worker, built once by _init_worker rather than per chunk.
+_worker: tuple[QuantumQcCode, JointBpDecoder, multiprocessing.Value] | None = None
+_tokens = counter(1)  # one per pooled run_point, so a pool's points are told apart
 
 
-def _init_worker(code: QuantumQcCode, cfg: DecoderConfig) -> None:
+def _init_worker(code: QuantumQcCode, cfg: DecoderConfig, stopped) -> None:
     global _worker
-    _worker = (code, JointBpDecoder.for_code(code, cfg))
+    _worker = (code, JointBpDecoder.for_code(code, cfg), stopped)
 
 
 @contextmanager
 def _pool(code: QuantumQcCode, cfg: DecoderConfig, workers: int):
     """A worker pool for `code`, shut down on any exit.
 
-    Each run_point cancels its own queued chunks.  `cancel_futures=True`
-    is not used: on CPython 3.11 it deadlocks the shutdown when a chunk
-    has failed to pickle.
+    Each run_point cancels its own queued chunks and writes its token to
+    `pool.stopped`, so the workers skip the chunks already handed to them.
+    `cancel_futures=True` is not used: on CPython 3.11 it deadlocks the
+    shutdown when a chunk has failed to pickle.
     """
-    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(code, cfg))
+    stopped = multiprocessing.Value("q", 0)  # token of the pool's last stopped point
+    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(code, cfg, stopped))
+    pool.stopped = stopped
     try:
         yield pool
     finally:
@@ -196,9 +202,11 @@ def _pool(code: QuantumQcCode, cfg: DecoderConfig, workers: int):
 
 
 def _run_chunk(
-    p_d: float, seed: int, point_index: int, start: int, count: int
+    token: int, p_d: float, seed: int, point_index: int, start: int, count: int
 ) -> list[TrialRecord]:
-    code, decoder = _worker
+    code, decoder, stopped = _worker
+    if stopped.value == token:  # its point has stopped folding
+        return []
     return _run_trials(code, decoder, p_d, seed, point_index, start, count)
 
 
@@ -252,6 +260,13 @@ def _aggregate(
     )
 
 
+def _check_workers(workers: int | None) -> int:
+    """The worker count, all cores when None; below 1 raises ValueError."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers or os.cpu_count() or 1
+
+
 def run_point(
     code: QuantumQcCode,
     p_d: float,
@@ -267,15 +282,18 @@ def run_point(
     """Monte Carlo estimate of FER/BER at one physical error rate.
 
     Trials run in 25-trial chunks, each decoded as one batch, on a
-    process pool (workers=1 stays in process) and are folded in trial
-    order, so the stopping rule cuts the stream at the same trial for
-    any worker count: results are bit-identical for a fixed (code, p_d,
-    stop, seed, cfg).  `pool`, one
-    built for this code and cfg, is used and left open (run_sweep passes
-    one per sweep); without it the point opens its own.
+    process pool (workers=1 stays in process; None means all cores, and
+    fewer than 1 raises ValueError) and are folded in trial order, so the
+    stopping rule cuts the stream at the same trial for any worker count:
+    results are bit-identical for a fixed (code, p_d, stop, seed, cfg).
+    `pool`, one from _pool for this code and cfg, is used and left open
+    (run_sweep passes one per sweep); without it the point opens its own.
     """
     if not 0.0 <= p_d < 1.0:
         raise ValueError(f"p_d must be in [0, 1), got {p_d}")
+    workers = _check_workers(workers)
+    if max_logged_failures < 0:
+        raise ValueError(f"max_logged_failures must be >= 0, got {max_logged_failures}")
     cfg = cfg or DecoderConfig()
     records: list[TrialRecord] = []
     frame_errors = 0
@@ -291,12 +309,10 @@ def run_point(
                     return True
         return False
 
-    if workers is None:
-        workers = os.cpu_count() or 1
     chunks = (  # (start, count), lazily and in trial order
         (t, min(_CHUNK, stop.max_trials - t)) for t in range(0, stop.max_trials, _CHUNK)
     )
-    if pool is None and workers <= 1:
+    if pool is None and workers == 1:
         decoder = JointBpDecoder.for_code(code, cfg)
         consume(
             rec
@@ -305,7 +321,8 @@ def run_point(
         )
     else:
         with nullcontext(pool) if pool is not None else _pool(code, cfg, workers) as pool:
-            futures = (pool.submit(_run_chunk, p_d, seed, point_index, *c) for c in chunks)
+            token = next(_tokens)
+            futures = (pool.submit(_run_chunk, token, p_d, seed, point_index, *c) for c in chunks)
             pending = deque()
             try:
                 pending.extend(islice(futures, 2 * workers))  # keeps workers busy while one folds
@@ -314,6 +331,7 @@ def run_point(
             finally:  # the rule fired or a chunk failed: drop this point's queued chunks
                 for fut in pending:
                     fut.cancel()
+                pool.stopped.value = token  # and have the workers skip those already sent
     return _aggregate(p_d, code.n, records, max_logged_failures)
 
 
@@ -338,8 +356,7 @@ def run_sweep(
     if len(p_grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("p_grid must be strictly increasing or decreasing")
     cfg = cfg or DecoderConfig()
-    if workers is None:
-        workers = os.cpu_count() or 1
+    workers = _check_workers(workers)
     with _pool(code, cfg, workers) if workers > 1 else nullcontext() as pool:
         return [
             run_point(

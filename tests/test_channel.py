@@ -8,6 +8,7 @@ from qcldpc.channel import (
     extract_syndrome,
     sample_error,
     trial_rng,
+    trial_uniforms,
 )
 from qcldpc.decoder import JointBpDecoder
 from qcldpc.gf2 import mat_vec_mod2
@@ -107,6 +108,20 @@ def test_trial_rng_rejects_keys_that_would_wrap(key):
     # trial 2**32 onto trial 0), so they are refused instead.
     with pytest.raises(ValueError, match="must be in"):
         trial_rng(*key)
+    seed, point, trial = key
+    with pytest.raises(ValueError, match="must be in"):
+        trial_uniforms(seed, point, range(trial, trial + 1), 8)
+
+
+@pytest.mark.parametrize(
+    "seed, point, trials",
+    [(9, 3, range(17, 42)), (0, 0, range(1)), (2**64 - 1, 2**32 - 1, range(2**32 - 5, 2**32))],
+)
+def test_trial_uniforms_rows_are_the_trial_streams(seed, point, trials):
+    u = trial_uniforms(seed, point, trials, 40)
+    assert u.shape == (len(trials), 40)
+    for row, t in zip(u, trials):
+        assert np.array_equal(row, trial_rng(seed, point, t).random(40))
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +165,16 @@ def test_syndrome_matches_direct_product(code_name, request):
     # The decoder checks its hard decisions on the very layouts used here.
     decoder = JointBpDecoder.for_code(code)
     assert decoder.gx is code.h_z.tanner_graph() and decoder.gz is code.h_x.tanner_graph()
+
+
+@pytest.mark.parametrize("code_name", ["code5", "code25"])
+def test_check_sums_of_a_batch_are_the_row_sums(code_name, request):
+    code = request.getfixturevalue(code_name)
+    bits = (np.random.default_rng(3).random((7, code.n)) < 0.3).astype(np.uint8)
+    for graph in (code.h_x.tanner_graph(), code.h_z.tanner_graph()):
+        sums = graph.check_sums(bits)
+        assert sums.shape == (7, graph.m) and sums.dtype == np.uint8
+        assert np.array_equal(sums, [graph.check_sums(row) for row in bits])
 
 
 def test_syndrome_linearity(code5):

@@ -211,6 +211,30 @@ def test_simulate_rejects_config_value_of_wrong_type(tmp_path, capsys, wrap, key
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("threads", 0), ("threads", -3), ("max_logged_failures", -1)]
+)
+@pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+def test_simulate_rejects_values_below_the_minimum(tmp_path, capsys, source, key, value):
+    # --threads 0 used to run one worker, and --max-logged-failures -1 to
+    # write an empty failures.jsonl, both with exit status 0.
+    cfg = {"p": 5, "p_grid": [0.3], "max_trials": 10}
+    argv = ["simulate", "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--builtin-3x8", "--p", "5", "--p-grid", "0.3", "--max-trials", "10",
+                 "--" + key.replace("_", "-"), str(value)]
+    else:
+        cfg[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tool": "qcldpc", "config": cfg} if source == "manifest"
+                                   else cfg))
+        argv += ["--config", str(path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:") and repr(key) in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_simulate_accepts_null_where_the_default_is_null(tmp_path, capsys):
     cfg = {"pair_file": None, "p": 5, "p_grid": [0.3], "threads": None, "max_trials": 10,
            "llr_clip": 25, "damping": 0.5}

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import nullspace_basis, row_space_set
-from qcldpc import build_code, sim
+from qcldpc import build_code, builtin_pair_j3_l8, sim
 from qcldpc.channel import PauliError, extract_syndrome, sample_error, trial_rng
 from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder
 from qcldpc.gf2 import mat_vec_mod2
@@ -260,6 +263,118 @@ def test_run_point_raises_when_a_chunk_fails_to_pickle():
         proc.communicate()
         pytest.fail("run_point hung after a chunk failed to pickle")
     assert proc.returncode == 0 and out.strip() == "PicklingError"
+
+
+# ---------------------------------------------------------------------------
+# chunks: the array path against the per-trial chain
+
+
+def _code_and_decoder(P):
+    code = build_code(builtin_pair_j3_l8(), P)
+    # 20 iterations, so that chunks at p_d = 0.3 stay cheap
+    return code, JointBpDecoder.for_code(code, DecoderConfig(max_iterations=20))
+
+
+_CHAIN = {P: _code_and_decoder(P) for P in (5, 25)}
+
+
+def chain(code, decoder, p_d, seed, point, trials):
+    """trial_rng -> sample_error -> extract_syndrome -> decode -> classify, per trial."""
+    records = []
+    for t in trials:
+        truth = sample_error(code.n, p_d, trial_rng(seed, point, t))
+        outcome = decoder.decode(extract_syndrome(code, truth), p_d)
+        records.append(classify(code, truth, outcome, trial_index=t))
+    return records
+
+
+@st.composite
+def chunk_keys(draw):
+    count = draw(st.integers(1, 25))
+    seed = draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    point = draw(st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1))
+    start = draw(st.sampled_from([0, 2**32 - count]) | st.integers(0, 2**32 - count))
+    return seed, point, start, count
+
+
+@settings(max_examples=100, deadline=None)
+@given(P=st.sampled_from([5, 25]), p_d=st.sampled_from([0.0, 1e-3, 0.02, 0.08, 0.3]),
+       key=chunk_keys())
+def test_run_trials_equals_the_per_trial_chain(P, p_d, key):
+    seed, point, start, count = key
+    code, decoder = _CHAIN[P]
+    got = sim._run_trials(code, decoder, p_d, seed, point, start, count)
+    assert got == chain(code, decoder, p_d, seed, point, range(start, start + count))
+
+
+def test_run_trials_judges_one_sided_residuals_as_failures():
+    # This chunk holds exact recoveries and failures whose residual is zero
+    # on one component only, on the x side and on the z side.
+    code, decoder = _CHAIN[25]
+    got = sim._run_trials(code, decoder, 0.1, 2, 1, 0, 25)
+    assert got == chain(code, decoder, 0.1, 2, 1, range(25))
+    assert any(r.success and r.residual_weight_x == r.residual_weight_z == 0 for r in got)
+    for zero_side in ("residual_weight_x", "residual_weight_z"):
+        assert any(not r.success and getattr(r, zero_side) == 0 for r in got)
+
+
+class _ShiftedByStabilizer:
+    """A decoder whose x estimates are BP's plus one row of H_X, so every
+    frame BP recovers exactly has a nonzero residual that is a stabilizer."""
+
+    def __init__(self, code, decoder):
+        self.decoder, self.row = decoder, code.h_x.to_dense()[0].astype(np.uint8)
+
+    def shifted(self, o):
+        return DecodeOutcome(o.x_hat ^ self.row, o.z_hat, o.converged, o.iterations)
+
+    def decode(self, syn, p_d):
+        return self.shifted(self.decoder.decode(syn, p_d))
+
+    def decode_batch(self, S, T, p_d):
+        return [self.shifted(o) for o in self.decoder.decode_batch(S, T, p_d)]
+
+
+def test_run_trials_judges_degenerate_residuals_as_successes():
+    code, decoder = _CHAIN[25]
+    shifted = _ShiftedByStabilizer(code, decoder)
+    got = sim._run_trials(code, shifted, 0.05, 4, 0, 0, 25)
+    assert got == chain(code, shifted, 0.05, 4, 0, range(25))
+    assert any(r.success and r.residual_weight_x == code.L for r in got)
+
+
+def test_run_chunk_skips_the_chunks_of_a_stopped_point(code5, monkeypatch):
+    monkeypatch.setattr(sim, "_worker", None)
+    stopped = multiprocessing.Value("q", 0)
+    sim._init_worker(code5, DecoderConfig(), stopped)
+    stopped.value = 7  # the point that holds token 7 has stopped folding
+    assert sim._run_chunk(7, 0.1, 3, 0, 0, 25) == []
+    want = sim._run_trials(code5, JointBpDecoder.for_code(code5), 0.1, 3, 0, 0, 25)
+    assert sim._run_chunk(8, 0.1, 3, 0, 0, 25) == want and len(want) == 25
+
+
+def test_run_sweep_two_workers_equal_one(code5):
+    # Each point stops within a chunk or two, so workers meet chunks of
+    # stopped points and skip them.
+    cfg = DecoderConfig(max_iterations=30)
+    grid, stop = [0.3, 0.25, 0.2, 0.15], StopRule(4, 400)
+    one = run_sweep(code5, grid, stop, seed=12, cfg=cfg, workers=1)
+    assert run_sweep(code5, grid, stop, seed=12, cfg=cfg, workers=2) == one
+    assert all(r.frame_errors == 4 for r in one)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_point_and_run_sweep_reject_fewer_than_one_worker(code5, workers):
+    # Both used to run one worker silently.
+    with pytest.raises(ValueError, match="workers"):
+        run_point(code5, 0.1, StopRule(1, 10), seed=0, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(code5, [0.1], StopRule(1, 10), seed=0, workers=workers)
+
+
+def test_run_point_rejects_negative_failure_log_cap(code5):
+    with pytest.raises(ValueError, match="max_logged_failures"):
+        run_point(code5, 0.1, StopRule(1, 10), seed=0, workers=1, max_logged_failures=-1)
 
 
 def test_run_point_rejects_bad_rate(code5):
