@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf2 import RowSpace, SparseBinaryMatrix, gf2_rank, girth
+from .gf2 import RowSpace, SparseBinaryMatrix, girth
 
 __all__ = [
     "ExponentMatrix",
@@ -73,12 +73,6 @@ class ExponentMatrix:
     @property
     def L(self) -> int:
         return len(self.entries[0])
-
-    def reduced(self, P: int) -> "ExponentMatrix":
-        """Copy with every entry reduced mod P (into [0, P))."""
-        return ExponentMatrix.from_rows(
-            tuple(e % P for e in row) for row in self.entries
-        )
 
 
 def builtin_pair_j3_l8() -> tuple[ExponentMatrix, ExponentMatrix]:
@@ -314,7 +308,7 @@ def measured_rate(code: QuantumQcCode) -> Fraction:
 
     Always >= design_rate(J, L): each rank is at most J * P.
     """
-    rank_sum = gf2_rank(code.h_x) + gf2_rank(code.h_z)
+    rank_sum = RowSpace(code.h_x).rank + RowSpace(code.h_z).rank
     return 1 - Fraction(rank_sum, code.n)
 
 

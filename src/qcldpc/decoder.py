@@ -47,7 +47,7 @@ from .channel import Syndrome, depolarizing_prior
 from .codes import QuantumQcCode
 from .gf2 import SparseBinaryMatrix, TannerGraph
 
-__all__ = ["DecoderConfig", "DecodeOutcome", "JointBpDecoder", "decode"]
+__all__ = ["DecoderConfig", "DecodeOutcome", "JointBpDecoder"]
 
 # Keep atanh arguments away from +/-1; only binds for llr_clip > ~35.
 _TANH_GUARD = 1.0 - 1e-15
@@ -319,13 +319,3 @@ class JointBpDecoder:
                 np.add(new, np.multiply(msg, damping, out=suf), out=new)
             msg, new = new, msg
         raise AssertionError("unreachable")
-
-
-def decode(
-    code: QuantumQcCode,
-    syn: Syndrome,
-    p_d: float,
-    cfg: DecoderConfig | None = None,
-) -> DecodeOutcome:
-    """One-shot decode; builds a fresh :class:`JointBpDecoder` for the code."""
-    return JointBpDecoder.for_code(code, cfg).decode(syn, p_d)

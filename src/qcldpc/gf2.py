@@ -7,8 +7,7 @@ rows to Python integers (one bit per column) and eliminate with
 bit-parallel XOR, which is fast at the few-thousand-column scale this
 library operates at.
 A regular matrix caches its :class:`TannerGraph`, the edge layout that
-syndrome extraction and the decoder share; :func:`mat_vec_mod2` and
-:func:`mat_mul_mod2` stay as the slow references the tests compare with.
+syndrome extraction and the decoder share.
 """
 
 from __future__ import annotations
@@ -21,14 +20,8 @@ __all__ = [
     "SparseBinaryMatrix",
     "TannerGraph",
     "RowSpace",
-    "cpm_expand",
-    "mat_mul_mod2",
-    "mat_vec_mod2",
-    "gf2_rank",
-    "in_row_space",
     "girth",
     "pack_bits",
-    "unpack_bits",
 ]
 
 
@@ -36,13 +29,6 @@ def pack_bits(v: np.ndarray) -> int:
     """Pack a {0,1} vector into a Python int (bit i = v[i])."""
     v = np.ascontiguousarray(np.asarray(v, dtype=np.uint8) & 1)
     return int.from_bytes(np.packbits(v, bitorder="little").tobytes(), "little")
-
-
-def unpack_bits(x: int, length: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits` for a known vector length."""
-    nbytes = (length + 7) // 8
-    raw = np.frombuffer(x.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:length].astype(np.uint8)
 
 
 class SparseBinaryMatrix:
@@ -86,13 +72,6 @@ class SparseBinaryMatrix:
         for r, sup in enumerate(self.row_support):
             out[r, sup] = 1
         return out
-
-    def transpose(self) -> "SparseBinaryMatrix":
-        cols_sup: list[list[int]] = [[] for _ in range(self.cols)]
-        for r, sup in enumerate(self.row_support):
-            for c in sup:
-                cols_sup[c].append(r)
-        return SparseBinaryMatrix(self.cols, self.rows, cols_sup)
 
     def row_weights(self) -> np.ndarray:
         return np.array([sup.size for sup in self.row_support], dtype=np.int64)
@@ -172,55 +151,6 @@ class TannerGraph:
         return np.bitwise_xor.reduce(gathered, axis=-1)
 
 
-def cpm_expand(shift: int, P: int) -> SparseBinaryMatrix:
-    """Expand a circulant shift into its P x P permutation matrix.
-
-    Row i carries a single 1 at column (i + shift) mod P; negative
-    shifts reduce into [0, P), so cpm_expand(a, P) == cpm_expand(a mod P, P).
-
-    Args:
-        shift: Circulant exponent (any integer).
-        P: Circulant size, must be >= 1.
-
-    Returns:
-        The P x P circulant permutation matrix.
-    """
-    if P < 1:
-        raise ValueError(f"circulant size must be >= 1, got {P}")
-    s = shift % P
-    cols = (np.arange(P, dtype=np.int64) + s) % P
-    return SparseBinaryMatrix(P, P, cols[:, None])
-
-
-def mat_mul_mod2(A: SparseBinaryMatrix, B: SparseBinaryMatrix) -> SparseBinaryMatrix:
-    """Matrix product A @ B over GF(2); paired 1-contributions cancel."""
-    if A.cols != B.rows:
-        raise ValueError(f"dimension mismatch: ({A.rows}x{A.cols}) @ ({B.rows}x{B.cols})")
-    b_packed = B.packed_rows()
-    out_rows = []
-    for sup in A.row_support:
-        acc = 0
-        for k in sup:
-            acc ^= b_packed[k]
-        out_rows.append(unpack_bits(acc, B.cols).nonzero()[0] if acc else [])
-    return SparseBinaryMatrix(A.rows, B.cols, out_rows)
-
-
-def mat_vec_mod2(M: SparseBinaryMatrix, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product M @ v over GF(2).
-
-    Output bit r is the XOR of v over row r's support.
-    """
-    v = np.asarray(v, dtype=np.uint8)
-    if v.shape != (M.cols,):
-        raise ValueError(f"vector length {v.shape} does not match cols {M.cols}")
-    out = np.zeros(M.rows, dtype=np.uint8)
-    for r, sup in enumerate(M.row_support):
-        if sup.size:
-            out[r] = int(v[sup].sum()) & 1
-    return out
-
-
 class RowSpace:
     """Row-echelon basis of a matrix's GF(2) row space.
 
@@ -257,20 +187,6 @@ class RowSpace:
         if v.shape != (self.cols,):
             raise ValueError(f"vector length {v.shape} does not match cols {self.cols}")
         return self._reduce(pack_bits(v), self._pivots) == 0
-
-
-def gf2_rank(M: SparseBinaryMatrix) -> int:
-    """Rank of M over GF(2) via bit-packed elimination."""
-    return RowSpace(M).rank
-
-
-def in_row_space(v: np.ndarray, M: SparseBinaryMatrix) -> bool:
-    """True iff v lies in the GF(2) row space of M.
-
-    Eliminates v against a row-echelon basis of M.  For repeated
-    queries against the same matrix build a :class:`RowSpace` once.
-    """
-    return RowSpace(M).contains(v)
 
 
 def girth(M: SparseBinaryMatrix):

@@ -119,7 +119,7 @@ def classify(
     component is set, and the residual supports are retained for
     error-floor analysis.
     """
-    if truth.n != code.n or outcome.x_hat.shape != (code.n,):
+    if truth.n != code.n or not (outcome.x_hat.shape == outcome.z_hat.shape == (code.n,)):
         raise ValueError("truth/outcome dimensions do not match the code")
     res_x = truth.x ^ outcome.x_hat
     res_z = truth.z ^ outcome.z_hat
@@ -453,11 +453,22 @@ def write_failure_log(path, p_d: float, failures: Iterable[TrialRecord]) -> None
 
 
 def read_failure_log(path) -> list[dict]:
-    """Read one failure-log file written by :func:`write_failure_log`."""
+    """Read one failure-log file written by :func:`write_failure_log`.
+
+    A line that is not a JSON object with an integer ``bit_errors``
+    raises ValueError naming the file and line.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                out.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {line_no}: {exc}") from None
+            if not isinstance(rec, dict) or type(rec.get("bit_errors")) is not int:
+                raise ValueError(f"{path}, line {line_no}: not an object with an integer bit_errors")
+            out.append(rec)
     return out

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here deliberately avoids the library's packed-int
-elimination and BFS code paths: ranks come from dense numpy
-elimination, row-space membership from exhaustive enumeration, and
-short cycles from explicit pattern search, so the two sides of each
-comparison share no implementation.
+elimination, Tanner-graph gathers and BFS code paths: products come
+from dense numpy matmul, ranks from dense numpy elimination, row-space
+membership from exhaustive enumeration, and short cycles from explicit
+pattern search, so the two sides of each comparison share no
+implementation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,16 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+
+
+def mul_mod2(A, B) -> np.ndarray:
+    """Exact A @ B over GF(2) for dense 0/1 arrays (matrices or vectors).
+
+    The float64 product is exact: each entry counts at most the inner
+    dimension of ones, far below 2**53.
+    """
+    prod = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
+    return (prod.astype(np.int64) % 2).astype(np.uint8)
 
 
 def dense_echelon(M: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -13,20 +13,18 @@ import time
 import numpy as np
 
 from conftest import GIRTH6_P, GIRTH6_P_LARGE
-from oracles import nullspace_basis, row_space_set
+from oracles import mul_mod2, nullspace_basis, row_space_set
 from qcldpc import (
     DecodeOutcome,
     DecoderConfig,
     JointBpDecoder,
     PauliError,
+    RowSpace,
     StopRule,
     build_code,
     classify,
     extract_syndrome,
-    gf2_rank,
     hashing_bound_threshold,
-    mat_mul_mod2,
-    mat_vec_mod2,
     run_point,
     sample_error,
     scan_p,
@@ -46,8 +44,8 @@ def test_criterion_01_orthogonality(pair):
     t0 = time.time()
     for P in ORTHOGONALITY_SIZES:
         code = build_code(pair, P)  # raises on any violation
-        prod = mat_mul_mod2(code.h_x, code.h_z.transpose())
-        assert prod.nnz == 0, f"nonzero product at P={P}"
+        prod = mul_mod2(code.h_x.to_dense(), code.h_z.to_dense().T)
+        assert not prod.any(), f"nonzero product at P={P}"
     elapsed = time.time() - t0
     report(
         1,
@@ -93,7 +91,7 @@ def test_criterion_04_rate(pair):
     quarter = Fraction(1, 4)
     for P in ORTHOGONALITY_SIZES + (GIRTH6_P, GIRTH6_P_LARGE):
         code = build_code(pair, P)
-        rx, rz = gf2_rank(code.h_x), gf2_rank(code.h_z)
+        rx, rz = RowSpace(code.h_x).rank, RowSpace(code.h_z).rank
         measured = 1 - Fraction(rx + rz, code.n)
         assert measured >= quarter, f"rate below design at P={P}"
         full = rx == 3 * P and rz == 3 * P
@@ -132,6 +130,7 @@ def test_criterion_06_convergence_soundness(code25):
     violations = 0
     converged_seen = 0
     dec = JointBpDecoder.for_code(code25, DecoderConfig())
+    hx, hz = code25.h_x.to_dense(), code25.h_z.to_dense()
     for point, p_d in enumerate((0.02, 0.05, 0.08)):
         for lo in range(0, trials_per_rate, batch):
             syns = [
@@ -143,9 +142,9 @@ def test_criterion_06_convergence_soundness(code25):
                 if not out.converged:
                     continue
                 converged_seen += 1
-                ok = np.array_equal(
-                    mat_vec_mod2(code25.h_z, out.x_hat), syn.s
-                ) and np.array_equal(mat_vec_mod2(code25.h_x, out.z_hat), syn.t)
+                ok = np.array_equal(mul_mod2(hz, out.x_hat), syn.s) and np.array_equal(
+                    mul_mod2(hx, out.z_hat), syn.t
+                )
                 violations += not ok
     report(
         6,

@@ -330,6 +330,17 @@ def test_floor_empty_log(tmp_path, capsys):
     assert "no failures recorded" in out
 
 
+@pytest.mark.parametrize("line", ['{"trial":0}', "[1,2]", '{"bit_errors":"3"}', "{"])
+def test_floor_rejects_a_line_that_is_not_a_failure_record(tmp_path, capsys, line):
+    log = tmp_path / "bad.jsonl"
+    write_log(log, [3])
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    code, _, err = run_cli(["floor", str(log), "--l", "8"], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and f"{log}, line 2:" in err
+
+
 # ---------------------------------------------------------------------------
 # bound
 

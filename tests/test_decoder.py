@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mul_mod2
 from qcldpc import build_code
 from qcldpc.channel import PauliError, Syndrome, extract_syndrome, sample_error, trial_rng
-from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder, decode
+from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder
 from qcldpc.gf2 import SparseBinaryMatrix
 
 
@@ -26,10 +27,8 @@ def weight_one_error(n, i, xb, zb):
 
 
 def syndromes_match(code, outcome, syn):
-    from qcldpc.gf2 import mat_vec_mod2
-
-    return np.array_equal(mat_vec_mod2(code.h_z, outcome.x_hat), syn.s) and np.array_equal(
-        mat_vec_mod2(code.h_x, outcome.z_hat), syn.t
+    return np.array_equal(mul_mod2(code.h_z.to_dense(), outcome.x_hat), syn.s) and np.array_equal(
+        mul_mod2(code.h_x.to_dense(), outcome.z_hat), syn.t
     )
 
 
@@ -62,20 +61,20 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_zero_syndrome_converges_immediately(code25):
-    out = decode(code25, zero_syndrome(code25), 0.05)
+    out = JointBpDecoder.for_code(code25).decode(zero_syndrome(code25), 0.05)
     assert out.converged and out.iterations == 0
     assert not out.x_hat.any() and not out.z_hat.any()
 
 
 def test_zero_rate_zero_syndrome(code25):
-    out = decode(code25, zero_syndrome(code25), 0.0)
+    out = JointBpDecoder.for_code(code25).decode(zero_syndrome(code25), 0.0)
     assert out.converged and out.iterations == 0
     assert not out.x_hat.any()
 
 
 def test_vanishing_rate_zero_syndrome_gives_zero_estimate(code25):
     # Prior mass collapses onto the all-identity error as p -> 0+.
-    out = decode(code25, zero_syndrome(code25), 1e-12)
+    out = JointBpDecoder.for_code(code25).decode(zero_syndrome(code25), 1e-12)
     assert out.converged and out.iterations == 0
     assert not out.x_hat.any() and not out.z_hat.any()
 
@@ -83,14 +82,14 @@ def test_vanishing_rate_zero_syndrome_gives_zero_estimate(code25):
 def test_zero_rate_nonzero_syndrome_fails_immediately(code25):
     e = weight_one_error(code25.n, 3, 1, 0)
     syn = extract_syndrome(code25, e)
-    out = decode(code25, syn, 0.0)
+    out = JointBpDecoder.for_code(code25).decode(syn, 0.0)
     assert not out.converged and out.iterations == 0
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
 def test_decode_rejects_bad_rate(code25, bad):
     with pytest.raises(ValueError):
-        decode(code25, zero_syndrome(code25), bad)
+        JointBpDecoder.for_code(code25).decode(zero_syndrome(code25), bad)
 
 
 def test_decode_rejects_wrong_syndrome_length(code25):
@@ -99,7 +98,7 @@ def test_decode_rejects_wrong_syndrome_length(code25):
         t=np.zeros(code25.h_x.rows, dtype=np.uint8),
     )
     with pytest.raises(ValueError):
-        decode(code25, syn, 0.05)
+        JointBpDecoder.for_code(code25).decode(syn, 0.05)
 
 
 @pytest.mark.parametrize("side", ["s", "t"])
@@ -344,8 +343,8 @@ def test_xz_exchange_symmetry(code5):
 def test_decode_is_deterministic(code25):
     e = sample_error(code25.n, 0.07, trial_rng(1, 0, 5))
     syn = extract_syndrome(code25, e)
-    a = decode(code25, syn, 0.07)
-    b = decode(code25, syn, 0.07)
+    a = JointBpDecoder.for_code(code25).decode(syn, 0.07)
+    b = JointBpDecoder.for_code(code25).decode(syn, 0.07)
     assert np.array_equal(a.x_hat, b.x_hat) and np.array_equal(a.z_hat, b.z_hat)
     assert (a.converged, a.iterations) == (b.converged, b.iterations)
 
@@ -374,7 +373,7 @@ def test_damping_still_sound(code25):
 
 
 def test_outcome_shape(code25):
-    out = decode(code25, zero_syndrome(code25), 0.02)
+    out = JointBpDecoder.for_code(code25).decode(zero_syndrome(code25), 0.02)
     assert isinstance(out, DecodeOutcome)
     assert out.x_hat.shape == (code25.n,) and out.z_hat.shape == (code25.n,)
     assert out.x_hat.dtype == np.uint8

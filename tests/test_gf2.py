@@ -5,150 +5,129 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rank, has_four_cycle, row_space_set, short_cycle_girth
-from qcldpc.gf2 import (
-    RowSpace,
-    SparseBinaryMatrix,
-    cpm_expand,
-    gf2_rank,
-    girth,
-    in_row_space,
-    mat_mul_mod2,
-    mat_vec_mod2,
-)
+from oracles import dense_rank, has_four_cycle, mul_mod2, row_space_set, short_cycle_girth
+from qcldpc.codes import ExponentMatrix, expand_exponent_matrix
+from qcldpc.gf2 import RowSpace, SparseBinaryMatrix, girth
 
 
 def random_sparse(rng, rows, cols, density=0.2):
     return SparseBinaryMatrix.from_dense(rng.random((rows, cols)) < density)
 
 
+def cpm(shift, P):
+    """The P x P circulant permutation matrix with the given shift."""
+    return expand_exponent_matrix(ExponentMatrix.from_rows([[shift]]), P)
+
+
+def random_regular(rng, J, L, P):
+    """A random (row weight L, column weight J) matrix of J x L circulant blocks."""
+    return expand_exponent_matrix(ExponentMatrix.from_rows(rng.integers(0, P, (J, L))), P)
+
+
 # ---------------------------------------------------------------------------
-# cpm_expand
+# circulant permutation matrices (1 x 1 exponent matrices)
 
 
 def test_cpm_zero_shift_is_identity():
-    assert np.array_equal(cpm_expand(0, 4).to_dense(), np.eye(4, dtype=np.uint8))
+    assert np.array_equal(cpm(0, 4).to_dense(), np.eye(4, dtype=np.uint8))
 
 
 def test_cpm_shift_one():
-    m = cpm_expand(1, 3)
+    m = cpm(1, 3)
     assert [tuple(sup) for sup in m.row_support] == [(1,), (2,), (0,)]
 
 
 def test_cpm_negative_shift_reduces_mod_p():
-    assert cpm_expand(-1, 3) == cpm_expand(2, 3)
-    assert [tuple(sup) for sup in cpm_expand(-1, 3).row_support] == [(2,), (0,), (1,)]
+    assert cpm(-1, 3) == cpm(2, 3)
+    assert [tuple(sup) for sup in cpm(-1, 3).row_support] == [(2,), (0,), (1,)]
 
 
 def test_cpm_rejects_zero_size():
     with pytest.raises(ValueError):
-        cpm_expand(1, 0)
+        cpm(1, 0)
 
 
 @given(st.integers(-300, 300), st.integers(1, 40))
 def test_cpm_shift_wraps(a, P):
-    assert cpm_expand(a, P) == cpm_expand(a % P, P)
+    assert cpm(a, P) == cpm(a % P, P)
 
 
 @given(st.integers(0, 39), st.integers(1, 40))
 def test_cpm_inverse_pairing(a, P):
     a %= P
-    prod = mat_mul_mod2(cpm_expand(a, P), cpm_expand(P - a, P))
-    assert prod == cpm_expand(0, P)
+    prod = mul_mod2(cpm(a, P).to_dense(), cpm(P - a, P).to_dense())
+    assert np.array_equal(prod, np.eye(P, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
-# mat_mul_mod2
-
-
-def test_mat_mul_identity_law():
-    rng = np.random.default_rng(3)
-    m = random_sparse(rng, 6, 6)
-    eye = cpm_expand(0, 6)
-    assert mat_mul_mod2(eye, m) == m
-    assert mat_mul_mod2(m, eye) == m
+# circulant products, against the dense product mod 2
 
 
 @given(st.integers(0, 30), st.integers(0, 30), st.integers(2, 31))
 def test_mat_mul_cpm_composition(a, b, P):
-    lhs = mat_mul_mod2(cpm_expand(a, P), cpm_expand(b, P))
-    assert lhs == cpm_expand(a + b, P)
+    lhs = mul_mod2(cpm(a, P).to_dense(), cpm(b, P).to_dense())
+    assert np.array_equal(lhs, cpm(a + b, P).to_dense())
 
 
 def test_mat_mul_characteristic_two_cancellation():
     # CPM(c) + CPM(c) = 0: duplicate support entries cancel at construction.
-    c = cpm_expand(3, 5)
+    c = cpm(3, 5)
     doubled = SparseBinaryMatrix(
         5, 5, [np.concatenate([sup, sup]) for sup in c.row_support]
     )
     assert doubled.nnz == 0
-    assert mat_mul_mod2(doubled, c).nnz == 0
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul_mod2(cpm_expand(0, 3), cpm_expand(0, 4))
-
-
-def test_mat_mul_matches_dense_oracle():
-    rng = np.random.default_rng(11)
-    A = random_sparse(rng, 7, 9, 0.3)
-    B = random_sparse(rng, 9, 5, 0.3)
-    want = (A.to_dense().astype(int) @ B.to_dense().astype(int)) % 2
-    assert np.array_equal(mat_mul_mod2(A, B).to_dense(), want)
 
 
 # ---------------------------------------------------------------------------
-# mat_vec_mod2
+# matrix-vector products: TannerGraph.check_sums
 
 
 def test_mat_vec_identity():
     v = np.array([1, 0, 1, 1], dtype=np.uint8)
-    assert np.array_equal(mat_vec_mod2(cpm_expand(0, 4), v), v)
+    assert np.array_equal(cpm(0, 4).tanner_graph().check_sums(v), v)
 
 
 def test_mat_vec_zero_vector():
     rng = np.random.default_rng(5)
-    m = random_sparse(rng, 8, 10)
-    assert not mat_vec_mod2(m, np.zeros(10, dtype=np.uint8)).any()
+    m = random_regular(rng, 2, 5, 4)
+    assert not m.tanner_graph().check_sums(np.zeros(m.cols, dtype=np.uint8)).any()
 
 
 def test_mat_vec_all_ones_two_by_two():
     m = SparseBinaryMatrix.from_dense(np.ones((2, 2), dtype=np.uint8))
-    got = mat_vec_mod2(m, np.array([1, 0], dtype=np.uint8))
+    got = m.tanner_graph().check_sums(np.array([1, 0], dtype=np.uint8))
     assert np.array_equal(got, np.array([1, 1], dtype=np.uint8))
-
-
-def test_mat_vec_length_mismatch():
-    with pytest.raises(ValueError):
-        mat_vec_mod2(cpm_expand(0, 3), np.zeros(4, dtype=np.uint8))
 
 
 @given(st.integers(0, 2**40))
 @settings(max_examples=30)
 def test_mat_vec_linearity(seed):
     rng = np.random.default_rng(seed)
-    m = random_sparse(rng, 9, 14, 0.3)
-    u = (rng.random(14) < 0.5).astype(np.uint8)
-    v = (rng.random(14) < 0.5).astype(np.uint8)
-    lhs = mat_vec_mod2(m, u ^ v)
-    assert np.array_equal(lhs, mat_vec_mod2(m, u) ^ mat_vec_mod2(m, v))
+    m = random_regular(rng, 3, 4, 5)
+    graph = m.tanner_graph()
+    u = (rng.random(m.cols) < 0.5).astype(np.uint8)
+    v = (rng.random(m.cols) < 0.5).astype(np.uint8)
+    lhs = graph.check_sums(u ^ v)
+    assert np.array_equal(lhs, graph.check_sums(u) ^ graph.check_sums(v))
+    assert np.array_equal(lhs, mul_mod2(m.to_dense(), u ^ v))
+    batch = np.stack((u, v))
+    assert np.array_equal(graph.check_sums(batch), mul_mod2(batch, m.to_dense().T))
 
 
 # ---------------------------------------------------------------------------
-# gf2_rank
+# rank
 
 
 def test_rank_identity():
-    assert gf2_rank(cpm_expand(0, 7)) == 7
+    assert RowSpace(cpm(0, 7)).rank == 7
 
 
 def test_rank_zero_matrix():
-    assert gf2_rank(SparseBinaryMatrix(4, 6, [[], [], [], []])) == 0
+    assert RowSpace(SparseBinaryMatrix(4, 6, [[], [], [], []])).rank == 0
 
 
 def test_rank_dependent_rows():
-    assert gf2_rank(SparseBinaryMatrix.from_dense(np.ones((2, 2)))) == 1
+    assert RowSpace(SparseBinaryMatrix.from_dense(np.ones((2, 2)))).rank == 1
 
 
 @given(st.integers(0, 2**40))
@@ -156,38 +135,38 @@ def test_rank_dependent_rows():
 def test_rank_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     dense = (rng.random((8, 12)) < 0.3).astype(np.uint8)
-    assert gf2_rank(SparseBinaryMatrix.from_dense(dense)) == dense_rank(dense)
+    assert RowSpace(SparseBinaryMatrix.from_dense(dense)).rank == dense_rank(dense)
 
 
 def test_rank_invariant_under_row_permutation_and_addition():
     rng = np.random.default_rng(17)
     dense = (rng.random((10, 15)) < 0.3).astype(np.uint8)
-    base = gf2_rank(SparseBinaryMatrix.from_dense(dense))
+    base = RowSpace(SparseBinaryMatrix.from_dense(dense)).rank
 
     perm = rng.permutation(10)
-    assert gf2_rank(SparseBinaryMatrix.from_dense(dense[perm])) == base
+    assert RowSpace(SparseBinaryMatrix.from_dense(dense[perm])).rank == base
 
     added = dense.copy()
     added[3] ^= added[7]  # row addition
-    assert gf2_rank(SparseBinaryMatrix.from_dense(added)) == base
+    assert RowSpace(SparseBinaryMatrix.from_dense(added)).rank == base
 
 
 # ---------------------------------------------------------------------------
-# in_row_space
+# row-space membership
 
 
 def test_row_space_contains_each_row():
     rng = np.random.default_rng(23)
     m = random_sparse(rng, 6, 11, 0.4)
-    dense = m.to_dense()
-    for row in dense:
-        assert in_row_space(row, m)
+    space = RowSpace(m)
+    for row in m.to_dense():
+        assert space.contains(row)
 
 
 def test_row_space_contains_zero():
     rng = np.random.default_rng(29)
     m = random_sparse(rng, 6, 11, 0.4)
-    assert in_row_space(np.zeros(11, dtype=np.uint8), m)
+    assert RowSpace(m).contains(np.zeros(11, dtype=np.uint8))
 
 
 def test_row_space_matches_enumeration_oracle():
@@ -195,18 +174,18 @@ def test_row_space_matches_enumeration_oracle():
     # matrix (2^rank vectors) vs the elimination-based answer.
     rng = np.random.default_rng(31)
     dense = (rng.random((10, 20)) < 0.3).astype(np.uint8)
-    m = SparseBinaryMatrix.from_dense(dense)
+    m = RowSpace(SparseBinaryMatrix.from_dense(dense))
     space = row_space_set(dense)
     members = 0
     for _ in range(300):
         v = (rng.random(20) < 0.5).astype(np.uint8)
         expected = v.tobytes() in space
-        assert in_row_space(v, m) == expected
+        assert m.contains(v) == expected
         members += expected
     # Also check actual members, which random vectors rarely hit.
     for raw in list(space)[:64]:
         v = np.frombuffer(raw, dtype=np.uint8)
-        assert in_row_space(v, m)
+        assert m.contains(v)
 
 
 def test_row_space_closed_under_adding_rows():
@@ -222,7 +201,7 @@ def test_row_space_closed_under_adding_rows():
 
 def test_row_space_length_mismatch():
     with pytest.raises(ValueError):
-        in_row_space(np.zeros(5, dtype=np.uint8), cpm_expand(0, 4))
+        RowSpace(cpm(0, 4)).contains(np.zeros(5, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +213,7 @@ def test_girth_two_by_two_all_ones():
 
 
 def test_girth_single_cpm_unbounded():
-    assert girth(cpm_expand(3, 7)) == math.inf
+    assert girth(cpm(3, 7)) == math.inf
 
 
 def test_girth_zero_matrix_unbounded():

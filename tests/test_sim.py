@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nullspace_basis, row_space_set
+from oracles import mul_mod2, nullspace_basis, row_space_set
 from qcldpc import build_code, builtin_pair_j3_l8, sim
 from qcldpc.channel import PauliError, extract_syndrome, sample_error, trial_rng
 from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder
-from qcldpc.gf2 import mat_vec_mod2
 from qcldpc.sim import (
     StopRule,
     classify,
@@ -81,7 +81,7 @@ def test_classify_kernel_vector_outside_row_space_fails(code5):
             found = v
             break
     assert found is not None, "kernel must exceed the stabilizer row space"
-    assert not mat_vec_mod2(code5.h_z, found).any()
+    assert not mul_mod2(code5.h_z.to_dense(), found).any()
 
     e = random_error(code5.n, 0.2, 3)
     rec = classify(code5, e, outcome_from(e.x ^ found, e.z))
@@ -103,12 +103,18 @@ def test_classify_dimension_mismatch(code5):
     e = random_error(code5.n + 1, 0.2, 5)
     with pytest.raises(ValueError):
         classify(code5, e, outcome_from(e.x, e.z))
+    # z_hat is checked too: a wrong length must not broadcast against the residual.
+    zero = np.zeros(code5.n, dtype=np.uint8)
+    for length in (1, code5.n + 1):
+        with pytest.raises(ValueError):
+            classify(code5, PauliError(zero, zero), outcome_from(zero, np.ones(length)))
 
 
 def test_nonconvergence_chain(code25):
     # converged = False => recomputed syndrome differs => the residual
     # has a nonzero syndrome => it cannot be a stabilizer => failure.
     dec = JointBpDecoder.for_code(code25, DecoderConfig(max_iterations=8))
+    hx, hz = code25.h_x.to_dense(), code25.h_z.to_dense()
     checked = 0
     for t in range(300):
         rng = trial_rng(41, 0, t)
@@ -118,12 +124,12 @@ def test_nonconvergence_chain(code25):
         if out.converged:
             continue
         checked += 1
-        s_hat = mat_vec_mod2(code25.h_z, out.x_hat)
-        t_hat = mat_vec_mod2(code25.h_x, out.z_hat)
+        s_hat = mul_mod2(hz, out.x_hat)
+        t_hat = mul_mod2(hx, out.z_hat)
         assert not (np.array_equal(s_hat, syn.s) and np.array_equal(t_hat, syn.t))
         res_x, res_z = e.x ^ out.x_hat, e.z ^ out.z_hat
-        rs = mat_vec_mod2(code25.h_z, res_x)
-        rt = mat_vec_mod2(code25.h_x, res_z)
+        rs = mul_mod2(hz, res_x)
+        rt = mul_mod2(hx, res_z)
         assert rs.any() or rt.any()
         if rs.any():
             assert not code25.x_stabilizers.contains(res_x)
@@ -351,6 +357,18 @@ def test_run_chunk_skips_the_chunks_of_a_stopped_point(code5, monkeypatch):
     assert sim._run_chunk(7, 0.1, 3, 0, 0, 25) == []
     want = sim._run_trials(code5, JointBpDecoder.for_code(code5), 0.1, 3, 0, 0, 25)
     assert sim._run_chunk(8, 0.1, 3, 0, 0, 25) == want and len(want) == 25
+
+
+def test_pooled_run_point_writes_its_token_when_it_stops(code5, monkeypatch):
+    monkeypatch.setattr(sim, "_tokens", count(41))
+    cfg = DecoderConfig(max_iterations=30)
+    stop = StopRule(3, 600)
+    with sim._pool(code5, cfg, 2) as pool:
+        for token, point in ((41, 0), (42, 1)):
+            res = run_point(code5, 0.3, stop, seed=4, cfg=cfg, workers=2, point_index=point,
+                            pool=pool)
+            assert res.frame_errors == 3 and res.trials < stop.max_trials
+            assert pool.stopped.value == token
 
 
 def test_run_sweep_two_workers_equal_one(code5):
