@@ -26,20 +26,24 @@ Both graphs are the :class:`~qcldpc.gf2.TannerGraph` layouts cached on
 the check matrices (the ones syndrome extraction reads), which also
 enforce the regularity the fixed-shape message arrays rely on.
 
-:meth:`JointBpDecoder.decode_batch` decodes B frames at once; the Monte
-Carlo driver calls it.  Its messages live in one edge-major (B, 2, d, m)
-array (frame, graph, edge slot, check), so both graphs of every frame
-update in one numpy call per step; this needs graphs of equal shape, as
-every built code has.  A frame leaves on the iteration where decode
-would return and the rest are compacted.  Every sum and product keeps
-decode's operand order, so each frame is bit-identical to decode, which
-stays the single-frame loop: the tests' reference, and the per-frame
-call the benchmark's traced replay times.
+:meth:`JointBpDecoder.decode_batch` decodes B frames at once for the Monte
+Carlo driver.  Its messages live in one frame-minor (d, 2, m, B) array
+(edge slot, graph, check, frame): both graphs of every frame update in one
+numpy call per step, each edge slot is one contiguous block, and gathers
+move whole rows.  This needs graphs of equal shape, as every built code
+has.  Every sum and product keeps decode's operand order, and every tanh,
+arctanh and logaddexp runs on contiguous operands as decode's do (numpy
+picks a SIMD or a scalar libm kernel by memory layout, and the two can
+differ in the last bit), so each frame is bit-identical to decode, which
+stays the single-frame loop: the tests' reference, and the per-frame call
+the benchmark's traced replay times.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -116,17 +120,18 @@ class JointBpDecoder:
         self._post_x = np.zeros(self.n)
         self._post_z = np.zeros(self.n)
         self._log_prior = None
-        # decode_batch gathers: each variable's edges out of a frame's messages
-        # (edge (c, k) of graph g at g*d*m + k*m + c), each edge's variable
-        # out of its (2, n) totals.
+        # decode_batch's frame-minor rows, for any B: edge (c, k) of graph g is row
+        # k*2m + g*m + c of the (d*2m, B) messages, variable v row g*n + v of totals.
         if self.gx.check_vars.shape == self.gz.check_vars.shape:
             m, d = self.gx.check_vars.shape
             graphs = list(enumerate((self.gx, self.gz)))
-            self._var_idx = np.stack(
-                [(g.var_edges % d * m + g.var_edges // d).T + i * d * m for i, g in graphs]
-            )
-            self._check_idx = np.stack([g.check_vars.T + i * self.n for i, g in graphs])
-        self._work: dict[str, np.ndarray] = {}
+            self._var_rows = np.stack(  # (deg_var, 2, n): each variable's edges
+                [(g.var_edges % d * 2 * m + i * m + g.var_edges // d).T for i, g in graphs], 1)
+            checks = np.stack([g.check_vars.T + i * self.n for i, g in graphs], 1).reshape(d, -1)
+            # Each edge's variable; the parity gather also reads the syndrome bits in rows 2n..
+            self._parity_rows = np.concatenate([checks, 2 * self.n + np.arange(2 * m)[None]])
+            self._ones = np.ones(2 * m, dtype=bool)  # ones @ mismatches: any per frame
+        self._flat: dict[str, np.ndarray] = {}
 
     @classmethod
     def for_code(cls, code: QuantumQcCode,
@@ -233,14 +238,31 @@ class JointBpDecoder:
             self._m_c2v_z = self._check_update(self.gz, self._m_c2v_z, v2c_z, sign_t)
         raise AssertionError("unreachable")
 
-    def _buffers(self, batch: int) -> dict[str, np.ndarray]:
-        """Work arrays for `batch` frames, grown to the largest batch seen."""
-        if len(self._work.get("msg", ())) < batch:
-            m, d = self.gx.check_vars.shape
-            self._work = {k: np.empty((batch, 2, d, m)) for k in ("msg", "new", "t", "pre", "suf")}
-            self._work |= {k: np.empty((batch, 2, self.n)) for k in ("lam", "aux", "total")}
-            self._work["gath"] = np.empty((batch, 2, self.gx.deg_var, self.n))
-        return {k: v[:batch] for k, v in self._work.items()}
+    def _views(self, b: int) -> SimpleNamespace:
+        """decode_batch's arrays for b frames, frame axis last, each a contiguous
+        prefix of a flat buffer grown to the largest batch seen."""
+        n, (m, d), j = self.n, self.gx.check_vars.shape, self.gx.deg_var
+
+        def shaped(key, *shape, dtype=float):
+            size = math.prod(shape) * b
+            if len(self._flat.get(key, ())) < size:
+                self._flat[key] = np.empty(size, dtype)
+            return self._flat[key][:size].reshape(*shape, b)
+
+        v = SimpleNamespace(
+            msg=shaped("msg", d * 2 * m), new=shaped("new", d * 2 * m), lam=shaped("lam", 2, n),
+            total=shaped("total", 2, n), ch=shaped("ch", 2, 2, n), gath=shaped("gath", j, 2, n),
+            t=shaped("t", 2, d, 2 * m), pre=shaped("pre", 2, d, 2 * m),
+            hs=shaped("hs", 2 * (n + m), dtype=bool), par=shaped("par", d + 1, 2 * m, dtype=bool),
+        )
+        v.other, v.terms = v.lam[::-1], (v.ch[0], v.ch[1])  # graph x's terms read z's sums
+        v.total_rows, v.hard = v.total.reshape(2 * n, b), v.hs[:2 * n].reshape(2, n, b)
+        # t[1] is t[0] slot-reversed: one chain leaves prefix products in pre[0], suffix in pre[1]
+        v.pre[:, 0] = 1.0
+        v.prods = [(v.pre[:, k - 1], v.t[:, k - 1], v.pre[:, k]) for k in range(1, d)]
+        v.flip, v.pre_suf = (v.t[1], v.t[0, ::-1]), (v.pre[0], v.pre[1, ::-1])
+        v.t0, v.t_rows = v.t[0], v.t[0].reshape(d * 2 * m, b)
+        return v
 
     def decode_batch(self, S, T, p_d: float) -> list[DecodeOutcome]:
         """:meth:`decode` of B frames at once, each bit-identical to decode's.
@@ -251,71 +273,60 @@ class JointBpDecoder:
         """
         if self.gx.check_vars.shape != self.gz.check_vars.shape:
             raise ValueError("decode_batch needs H_X and H_Z of equal shape and row weight")
-        S, T = np.asarray(S), np.asarray(T)
-        S = _syndrome_bits("S", S, S.shape[:1] + (self.gx.m,))
+        S = _syndrome_bits("S", S, np.shape(S)[:1] + (self.gx.m,))
         T = _syndrome_bits("T", T, S.shape[:1] + (self.gz.m,))
         self._reset_messages(p_d)  # validates p_d and sets the log prior as decode does
         ln_i, ln_x, ln_z, ln_y = self._log_prior
         self._log_prior = None  # no single-frame state is left for posterior_llrs
         if not len(S):
             return []
-        ln_other = np.array([[ln_z], [ln_x]])  # graph x's channel term reads z's sums
-        ln_own = np.array([[ln_x], [ln_z]])
+        ln_a = np.array([ln_i, ln_i, ln_x, ln_z]).reshape(2, 2, 1, 1)  # (term, graph) tables
+        ln_b = np.array([ln_z, ln_x, ln_y, ln_y]).reshape(2, 2, 1, 1)
         clip, damping, cap = self.cfg.llr_clip, self.cfg.damping, self.cfg.max_iterations
-        syn = np.stack([S, T], axis=1)  # (B, 2, m)
-        sign2 = (1.0 - 2.0 * syn[:, :, None, :]) * 2.0
-        rows = np.arange(len(syn))  # frame index of each active row
-        outcomes: list[DecodeOutcome | None] = [None] * len(syn)
-        w = self._buffers(len(syn))
-        msg, new = w.pop("msg"), w.pop("new")
-        msg.fill(0.0)
+        n, syn = self.n, np.concatenate([S.T, T.T])  # syn: (2m, B)
+        sign2, rows = (1.0 - 2.0 * syn) * 2.0, np.arange(len(S))  # rows: each column's frame
+        outcomes: list[DecodeOutcome | None] = [None] * len(S)
+        v = self._views(len(S))
+        v.msg[...], v.hs[2 * n:] = 0.0, syn
         for it in range(cap + 1):
             # Totals lam + Lambda and the hard decision, as in _update_posteriors.
-            gath, total, aux = w["gath"], w["total"], w["aux"]
-            np.take(msg.reshape(len(msg), -1), self._var_idx, axis=1, out=gath, mode="wrap")
-            lam = np.sum(gath, axis=2, out=w["lam"])
-            other = lam[:, ::-1]
-            np.logaddexp(ln_i, np.subtract(ln_other, other, out=total), out=total)
-            np.logaddexp(ln_own, np.subtract(ln_y, other, out=aux), out=aux)
-            np.subtract(total, aux, out=total)
-            np.add(total, lam, out=total)
-            hard = (total < 0).view(np.uint8)
-            parity = np.bitwise_xor.reduce(hard.reshape(len(hard), -1)[:, self._check_idx], axis=2)
-            ok = (parity == syn).all(axis=(1, 2))
-            done = ok if it < cap and (p_d != 0.0 or it > 0) else np.ones_like(ok)
-            if done.any():
-                for r in np.flatnonzero(done):
-                    outcomes[rows[r]] = DecodeOutcome(
-                        x_hat=hard[r, 0].copy(), z_hat=hard[r, 1].copy(),
-                        converged=bool(ok[r]), iterations=it,
-                    )
-                keep = np.flatnonzero(~done)
-                if not len(keep):
+            v.msg.take(self._var_rows, axis=0, out=v.gath, mode="wrap")
+            np.add.reduce(v.gath, axis=0, out=v.lam)
+            np.logaddexp(ln_a, np.subtract(ln_b, v.other, out=v.ch), out=v.ch)
+            np.add(np.subtract(*v.terms, out=v.total), v.lam, out=v.total)
+            np.less(v.total, 0.0, out=v.hard)
+            v.hs.take(self._parity_rows, axis=0, out=v.par, mode="wrap")
+            fail = self._ones @ np.bitwise_xor.reduce(v.par, axis=0)
+            last = it == cap or (p_d == 0.0 and it == 0)
+            if last or np.count_nonzero(fail) < len(fail):
+                for r in range(len(fail)) if last else np.flatnonzero(~fail):
+                    x_hat, z_hat = v.hard[:, :, r].astype(np.uint8)
+                    outcomes[rows[r]] = DecodeOutcome(x_hat, z_hat, not fail[r], it)
+                keep = np.flatnonzero(fail)
+                if last or not len(keep):
                     return outcomes
-                rows, syn, sign2 = rows[keep], syn[keep], sign2[keep]
-                msg[:len(keep)], total[:len(keep)] = msg[keep], total[keep]
-                msg, new = msg[:len(keep)], new[:len(keep)]
-                w = {k: v[:len(keep)] for k, v in w.items()}
-                total = w["total"]
+                # Copy the active columns out, then lay out the views for them.
+                rows, sign2, syn = rows[keep], sign2[:, keep], v.hs[2 * n:, keep]
+                msg, total = v.msg[:, keep], v.total_rows[:, keep]
+                v = self._views(len(keep))
+                v.msg, v.hs[2 * n:], v.total_rows[...] = msg, syn, total
             # Check update, as in _check_update.
-            t, pre, suf = w["t"], w["pre"], w["suf"]
-            np.take(total.reshape(len(total), -1), self._check_idx, axis=1, out=t, mode="wrap")
-            np.subtract(t, msg, out=t)
-            np.clip(t, -clip, clip, out=t)
+            t = v.t_rows
+            v.total_rows.take(self._parity_rows[:-1], axis=0, out=v.t0, mode="wrap")
+            np.subtract(t, v.msg, out=t)
+            t.clip(-clip, clip, out=t)
             np.divide(t, 2.0, out=t)
             np.tanh(t, out=t)
-            d = t.shape[2]
-            pre[:, :, 0] = suf[:, :, d - 1] = 1.0
-            for k in range(1, d):
-                np.multiply(pre[:, :, k - 1], t[:, :, k - 1], out=pre[:, :, k])
-                np.multiply(suf[:, :, d - k], t[:, :, d - k], out=suf[:, :, d - 1 - k])
-            np.multiply(pre, suf, out=pre)
-            np.clip(pre, -_TANH_GUARD, _TANH_GUARD, out=pre)
-            np.arctanh(pre, out=pre)
-            np.multiply(sign2, pre, out=new)
-            np.clip(new, -clip, clip, out=new)
+            np.copyto(*v.flip)
+            for pre, t_k, out in v.prods:
+                np.multiply(pre, t_k, out=out)
+            np.multiply(*v.pre_suf, out=v.t0)  # excl = pre * suf
+            t.clip(-_TANH_GUARD, _TANH_GUARD, out=t)
+            np.arctanh(t, out=t)
+            np.multiply(sign2, v.t0, out=v.t0)
+            t.clip(-clip, clip, out=v.new)
             if damping:
-                np.multiply(new, 1.0 - damping, out=new)
-                np.add(new, np.multiply(msg, damping, out=suf), out=new)
-            msg, new = new, msg
+                np.multiply(v.new, 1.0 - damping, out=v.new)
+                np.add(v.new, np.multiply(v.msg, damping, out=v.msg), out=v.new)
+            v.msg, v.new = v.new, v.msg
         raise AssertionError("unreachable")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcldpc
 from qcldpc.cli import main
 
 
@@ -54,6 +59,20 @@ def test_code_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["code", "--builtin-3x8"])  # neither --p nor --scan-p
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("module", ["qcldpc", "qcldpc.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    # `python -m qcldpc.cli ...` used to run nothing and exit 0.
+    src = str(Path(qcldpc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "code", "--builtin-3x8", "--p", "5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "J=3 L=8 P=5 n=40"
 
 
 def test_pair_file_round_trip_via_cli(tmp_path, capsys):

@@ -186,7 +186,7 @@ def test_decode_batch_equals_decode_property(
 
 
 @pytest.mark.parametrize("p_d", [0.02, 0.05, 0.08])
-@pytest.mark.parametrize("P", [5, 25])
+@pytest.mark.parametrize("P", [5, 25, 100])
 def test_decode_batch_equals_decode_on_keyed_trials(pair, P, p_d):
     # 84 keyed trials per case, cut into batches of 1, 7 and 25 (the
     # Monte Carlo chunk; 84 = 3 * 25 + 9 leaves a short last batch).
