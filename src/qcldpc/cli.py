@@ -45,23 +45,16 @@ from .sim import (
 
 __all__ = ["main", "entrypoint"]
 
-CSV_HEADER = "p_d,trials,frame_errors,fer,ci_low,ci_high,total_bit_errors,ber,mean_iterations"
+# The sweep.csv columns, each a PointResult attribute written with repr.
+CSV_COLUMNS = (
+    "p_d", "trials", "frame_errors", "fer", "ci_low", "ci_high",
+    "total_bit_errors", "ber", "mean_iterations",
+)
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def _csv_row(res) -> str:
-    return ",".join(
-        [
-            repr(res.p_d),
-            str(res.trials),
-            str(res.frame_errors),
-            repr(res.fer),
-            repr(res.ci_low),
-            repr(res.ci_high),
-            str(res.total_bit_errors),
-            repr(res.ber),
-            repr(res.mean_iterations),
-        ]
-    )
+    return ",".join(repr(getattr(res, c)) for c in CSV_COLUMNS)
 
 
 def _parse_scan_range(text: str) -> range:

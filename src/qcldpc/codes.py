@@ -113,31 +113,18 @@ def load_pair(path) -> tuple[ExponentMatrix, ExponentMatrix]:
     """Parse an exponent-pair text file.
 
     Format: line 1 holds ``J L``; then J rows of L integers (the X
-    factor); a blank separator line; then J rows of L integers (the Z
-    factor).  Entries may be negative, tokens are whitespace-separated
-    and ``#`` starts a comment line.
+    factor); then J rows of L integers (the Z factor).  Entries may be
+    negative, tokens are whitespace-separated, and blank lines and
+    lines starting with ``#`` are skipped anywhere.
     """
-    lines = Path(path).read_text().splitlines()
-    # (line_no, tokens) for content lines; blank lines kept as markers.
-    content: list[tuple[int, list[str]]] = []
-    for i, raw in enumerate(lines, start=1):
-        if raw.lstrip().startswith("#"):
-            continue
-        content.append((i, raw.split()))
-
-    pos = 0
-
-    def next_nonblank() -> tuple[int, list[str]]:
-        nonlocal pos
-        while pos < len(content) and not content[pos][1]:
-            pos += 1
-        if pos >= len(content):
-            raise ExponentPairParseError("unexpected end of file")
-        entry = content[pos]
-        pos += 1
-        return entry
-
-    line_no, header = next_nonblank()
+    content = [  # (line_no, tokens) of the lines that are neither blank nor comments
+        (i, tokens)
+        for i, raw in enumerate(Path(path).read_text().splitlines(), start=1)
+        if (tokens := raw.split()) and not tokens[0].startswith("#")
+    ]
+    if not content:
+        raise ExponentPairParseError("unexpected end of file")
+    line_no, header = content[0]
     if len(header) != 2:
         raise ExponentPairParseError(
             f"line {line_no}: expected header 'J L', found {len(header)} tokens"
@@ -147,31 +134,24 @@ def load_pair(path) -> tuple[ExponentMatrix, ExponentMatrix]:
     if J < 1 or L < 1:
         raise ExponentPairParseError(f"line {line_no}: J and L must be positive")
 
-    def read_matrix(name: str) -> ExponentMatrix:
+    def read_matrix(name: str, lines: list[tuple[int, list[str]]]) -> ExponentMatrix:
         rows = []
-        for _ in range(J):
-            try:
-                line_no, tokens = next_nonblank()
-            except ExponentPairParseError:
-                raise ExponentPairParseError(
-                    f"{name}: expected {J} rows, file ended after {len(rows)}"
-                ) from None
+        for line_no, tokens in lines:
             if len(tokens) != L:
                 raise ExponentPairParseError(
                     f"line {line_no}: expected {L} entries, found {len(tokens)}"
                 )
-            rows.append(
-                [_parse_int(t, line_no, c + 1) for c, t in enumerate(tokens)]
+            rows.append([_parse_int(t, line_no, c + 1) for c, t in enumerate(tokens)])
+        if len(rows) < J:
+            raise ExponentPairParseError(
+                f"{name}: expected {J} rows, file ended after {len(rows)}"
             )
         return ExponentMatrix.from_rows(rows)
 
-    e_x = read_matrix("first matrix")
-    e_z = read_matrix("second matrix")
-    while pos < len(content):
-        line_no, tokens = content[pos]
-        if tokens:
-            raise ExponentPairParseError(f"line {line_no}: trailing content")
-        pos += 1
+    e_x = read_matrix("first matrix", content[1 : J + 1])
+    e_z = read_matrix("second matrix", content[J + 1 : 2 * J + 1])
+    if len(content) > 2 * J + 1:
+        raise ExponentPairParseError(f"line {content[2 * J + 1][0]}: trailing content")
     return e_x, e_z
 
 
@@ -308,7 +288,7 @@ def measured_rate(code: QuantumQcCode) -> Fraction:
 
     Always >= design_rate(J, L): each rank is at most J * P.
     """
-    rank_sum = RowSpace(code.h_x).rank + RowSpace(code.h_z).rank
+    rank_sum = code.x_stabilizers.rank + code.z_stabilizers.rank
     return 1 - Fraction(rank_sum, code.n)
 
 

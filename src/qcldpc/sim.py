@@ -8,10 +8,12 @@ bit-error count (positions where either component of the residual is
 set) is a diagnostic recorded on failures only and drives the BER.
 
 Trials are independent work items: per-trial randomness is keyed by
-(seed, point index, trial index), and results are folded back in trial
-order.  Trials run in 25-trial chunks, on one process pool per sweep or,
-with one worker, in process; a chunk is sampled, decoded as one BP batch
-and judged as arrays, and pool workers skip the chunks of a stopped point.
+(seed, point index, trial index), and each record is folded, in trial
+order as it arrives, into counts, a weight histogram and the first
+logged failures, so a point's memory does not grow with its trials.
+Trials run in 25-trial chunks, on one process pool per sweep or, with
+one worker, in process; a chunk is sampled, decoded as one BP batch and
+judged as arrays, and pool workers skip the chunks of a stopped point.
 The stopping rule (first of: F frame errors, T trials) cuts the ordered
 stream, so a point is bit-identical for any worker count and chunk size.
 """
@@ -85,20 +87,43 @@ class StopRule:
 
 @dataclass(frozen=True)
 class PointResult:
-    """Aggregate of one (code, p_d) Monte Carlo point."""
+    """One (code, p_d) Monte Carlo point: the counts its trials fold into.
+
+    `weight_histogram` maps bit_errors to the number of failures with it,
+    over all failures; `failures` holds the first max_logged_failures of
+    them.  Every other statistic is derived from these fields.
+    """
 
     p_d: float
     n: int
     trials: int
-    frame_errors: int
-    total_bit_errors: int
     total_iterations: int
-    fer: float
-    ber: float
-    ci_low: float
-    ci_high: float
     weight_histogram: dict[int, int] = field(default_factory=dict)
     failures: tuple[TrialRecord, ...] = ()
+
+    @property
+    def frame_errors(self) -> int:
+        return sum(self.weight_histogram.values())
+
+    @property
+    def total_bit_errors(self) -> int:
+        return sum(w * c for w, c in self.weight_histogram.items())
+
+    @property
+    def fer(self) -> float:
+        return self.frame_errors / self.trials if self.trials else 0.0
+
+    @property
+    def ber(self) -> float:
+        return self.total_bit_errors / (self.trials * self.n) if self.trials else 0.0
+
+    @property
+    def ci_low(self) -> float:
+        return wilson_interval(self.frame_errors, self.trials)[0]
+
+    @property
+    def ci_high(self) -> float:
+        return wilson_interval(self.frame_errors, self.trials)[1]
 
     @property
     def mean_iterations(self) -> float:
@@ -124,29 +149,16 @@ def classify(
     res_x = truth.x ^ outcome.x_hat
     res_z = truth.z ^ outcome.z_hat
     success = code.x_stabilizers.contains(res_x) and code.z_stabilizers.contains(res_z)
-    wx = int(res_x.sum())
-    wz = int(res_z.sum())
-    if success:
-        return TrialRecord(
-            trial_index=trial_index,
-            converged=outcome.converged,
-            success=True,
-            bit_errors=0,
-            residual_weight_x=wx,
-            residual_weight_z=wz,
-            iterations=outcome.iterations,
-        )
-    bit_errors = int((res_x | res_z).sum())
     return TrialRecord(
         trial_index=trial_index,
         converged=outcome.converged,
-        success=False,
-        bit_errors=bit_errors,
-        residual_weight_x=wx,
-        residual_weight_z=wz,
+        success=success,
+        bit_errors=0 if success else int((res_x | res_z).sum()),
+        residual_weight_x=int(res_x.sum()),
+        residual_weight_z=int(res_z.sum()),
         iterations=outcome.iterations,
-        residual_x_support=tuple(int(i) for i in np.flatnonzero(res_x)),
-        residual_z_support=tuple(int(i) for i in np.flatnonzero(res_z)),
+        residual_x_support=() if success else tuple(np.flatnonzero(res_x).tolist()),
+        residual_z_support=() if success else tuple(np.flatnonzero(res_z).tolist()),
     )
 
 
@@ -223,43 +235,6 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
     return lo, hi
 
 
-def _aggregate(
-    p_d: float,
-    n: int,
-    records: Sequence[TrialRecord],
-    max_logged_failures: int,
-) -> PointResult:
-    frame_errors = 0
-    total_bit_errors = 0
-    total_iterations = 0
-    histogram: dict[int, int] = {}
-    failures: list[TrialRecord] = []
-    for rec in records:
-        total_iterations += rec.iterations
-        if not rec.success:
-            frame_errors += 1
-            total_bit_errors += rec.bit_errors
-            histogram[rec.bit_errors] = histogram.get(rec.bit_errors, 0) + 1
-            if len(failures) < max_logged_failures:
-                failures.append(rec)
-    trials = len(records)
-    ci_low, ci_high = wilson_interval(frame_errors, trials)
-    return PointResult(
-        p_d=p_d,
-        n=n,
-        trials=trials,
-        frame_errors=frame_errors,
-        total_bit_errors=total_bit_errors,
-        total_iterations=total_iterations,
-        fer=frame_errors / trials if trials else 0.0,
-        ber=total_bit_errors / (trials * n) if trials else 0.0,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        weight_histogram=histogram,
-        failures=tuple(failures),
-    )
-
-
 def _check_workers(workers: int | None) -> int:
     """The worker count, all cores when None; below 1 raises ValueError."""
     if workers is not None and workers < 1:
@@ -286,6 +261,7 @@ def run_point(
     fewer than 1 raises ValueError) and are folded in trial order, so the
     stopping rule cuts the stream at the same trial for any worker count:
     results are bit-identical for a fixed (code, p_d, stop, seed, cfg).
+    max_logged_failures caps `failures` only; every count covers all trials.
     `pool`, one from _pool for this code and cfg, is used and left open
     (run_sweep passes one per sweep); without it the point opens its own.
     """
@@ -295,16 +271,21 @@ def run_point(
     if max_logged_failures < 0:
         raise ValueError(f"max_logged_failures must be >= 0, got {max_logged_failures}")
     cfg = cfg or DecoderConfig()
-    records: list[TrialRecord] = []
-    frame_errors = 0
+    trials = iterations = frame_errors = 0
+    histogram: dict[int, int] = {}
+    failures: list[TrialRecord] = []
 
-    def consume(trials: Iterable[TrialRecord]) -> bool:
-        """Fold trials in order; stops drawing (and returns True) once the rule fires."""
-        nonlocal frame_errors
-        for rec in trials:
-            records.append(rec)
+    def consume(records: Iterable[TrialRecord]) -> bool:
+        """Fold records in trial order; stops drawing (and returns True) once the rule fires."""
+        nonlocal trials, iterations, frame_errors
+        for rec in records:
+            trials += 1
+            iterations += rec.iterations
             if not rec.success:
                 frame_errors += 1
+                histogram[rec.bit_errors] = histogram.get(rec.bit_errors, 0) + 1
+                if len(failures) < max_logged_failures:
+                    failures.append(rec)
                 if frame_errors >= stop.min_frame_errors:
                     return True
         return False
@@ -332,7 +313,7 @@ def run_point(
                 for fut in pending:
                     fut.cancel()
                 pool.stopped.value = token  # and have the workers skip those already sent
-    return _aggregate(p_d, code.n, records, max_logged_failures)
+    return PointResult(p_d, code.n, trials, iterations, histogram, tuple(failures))
 
 
 def run_sweep(

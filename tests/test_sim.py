@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from itertools import count
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import mul_mod2, nullspace_basis, row_space_set
 from qcldpc import build_code, builtin_pair_j3_l8, sim
 from qcldpc.channel import PauliError, extract_syndrome, sample_error, trial_rng
+from qcldpc.cli import _csv_row
 from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder
 from qcldpc.sim import (
     StopRule,
@@ -393,6 +395,39 @@ def test_run_point_and_run_sweep_reject_fewer_than_one_worker(code5, workers):
 def test_run_point_rejects_negative_failure_log_cap(code5):
     with pytest.raises(ValueError, match="max_logged_failures"):
         run_point(code5, 0.1, StopRule(1, 10), seed=0, workers=1, max_logged_failures=-1)
+
+
+def test_failure_log_cap_changes_only_the_logged_failures(code5):
+    cfg = DecoderConfig(max_iterations=30)
+    results = {
+        cap: run_point(code5, 0.02, StopRule(30, 200), seed=1, cfg=cfg, workers=1,
+                       max_logged_failures=cap)
+        for cap in (0, 3, 1000)
+    }
+    full = results[1000]
+    assert 3 < full.frame_errors < full.trials  # the cap of 3 bites; successes interleave
+    assert len(full.failures) == full.frame_errors
+    assert all(not rec.success for rec in full.failures)
+    for cap, res in results.items():
+        assert res.failures == full.failures[:cap]
+        assert (res.trials, res.frame_errors, res.total_bit_errors, res.total_iterations) == (
+            full.trials, full.frame_errors, full.total_bit_errors, full.total_iterations)
+        assert res.weight_histogram == full.weight_histogram
+        assert _csv_row(res) == _csv_row(full)
+
+
+def test_run_point_memory_does_not_grow_with_its_trials(code5):
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_point(code5, 0.0, StopRule(1, trials), seed=1, workers=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # builds the code's cached layouts outside the compared runs
+    # 6,000 more trials held as records would add about 1.1 MB.
+    assert peak(8000) - peak(2000) < 100_000
 
 
 def test_run_point_rejects_bad_rate(code5):
