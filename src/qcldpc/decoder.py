@@ -31,12 +31,42 @@ Carlo driver.  Its messages live in one frame-minor (d, 2, m, B) array
 (edge slot, graph, check, frame): both graphs of every frame update in one
 numpy call per step, each edge slot is one contiguous block, and gathers
 move whole rows.  This needs graphs of equal shape, as every built code
-has.  Every sum and product keeps decode's operand order, and every tanh,
-arctanh and logaddexp runs on contiguous operands as decode's do (numpy
-picks a SIMD or a scalar libm kernel by memory layout, and the two can
-differ in the last bit), so each frame is bit-identical to decode, which
-stays the single-frame loop: the tests' reference, and the per-frame call
-the benchmark's traced replay times.
+has.  Most of its iterations run after all but one to four frames have
+stopped, mostly on frames that reach the iteration cap, and at such widths
+numpy's per-call cost outweighs the arithmetic, so an iteration makes few
+calls, on contiguous blocks:
+
+* one gather of the per-edge totals feeds both the check update and the
+  stopping test: an edge's total is negative exactly where its variable's
+  hard decision is 1, so the parity of each check is the xor of those signs
+  and its syndrome bit;
+* the prefix and suffix products of a check run as one chain of d - 1
+  multiplies over a slot-major (d + 1, 2, 2m, B) stack, whose row k + 1
+  holds slot k's tanh and, reversed, slot d-1-k's, so each multiply covers
+  both directions and both graphs in one contiguous block;
+* depolarizing_prior gives X, Y and Z one rate, so ln p_X = ln p_Y = ln p_Z
+  and both channel terms of a graph share one difference, ln p_X minus the
+  other graph's sums;
+* the atanh guard is skipped when it cannot bind: every |t| is at most
+  tanh(llr_clip / 2), and so is each product of d - 1 >= 1 of them, which at
+  the default clip of 25 is 1 - 2.8e-11 against the guard's 1 - 1e-15;
+* halving is a multiply by 0.5 (the same double as / 2.0), and the syndrome
+  signs are laid out per edge row whenever the batch is laid out.
+
+The edge totals are gathered into the spare one of the two message
+buffers, where the check update turns them into the next messages, and
+the variable-side gather and the channel terms share the product stack's
+memory, which they leave before the check update fills it: about 58 kB of
+buffers a frame at n = 200.  When frames stop, the others' columns are
+copied back into C-ordered buffers, since a[:, keep] is F-ordered and
+would make every later call strided.
+
+Every sum and product keeps decode's operand order, and every tanh,
+arctanh and logaddexp runs on operands whose inner loop is contiguous as
+decode's do (numpy picks a SIMD or a scalar libm kernel by memory layout,
+and the two can differ in the last bit), so each frame is bit-identical to
+decode, which stays the single-frame loop: the tests' reference, and the
+per-frame call the benchmark's traced replay times.
 """
 
 from __future__ import annotations
@@ -44,6 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -127,9 +158,9 @@ class JointBpDecoder:
             graphs = list(enumerate((self.gx, self.gz)))
             self._var_rows = np.stack(  # (deg_var, 2, n): each variable's edges
                 [(g.var_edges % d * 2 * m + i * m + g.var_edges // d).T for i, g in graphs], 1)
-            checks = np.stack([g.check_vars.T + i * self.n for i, g in graphs], 1).reshape(d, -1)
-            # Each edge's variable; the parity gather also reads the syndrome bits in rows 2n..
-            self._parity_rows = np.concatenate([checks, 2 * self.n + np.arange(2 * m)[None]])
+            # Each edge's variable: row k*2m + g*m + c of the per-edge totals reads row g*n + v.
+            self._edge_vars = np.stack(
+                [g.check_vars.T + i * self.n for i, g in graphs], 1).ravel()
             self._ones = np.ones(2 * m, dtype=bool)  # ones @ mismatches: any per frame
         self._flat: dict[str, np.ndarray] = {}
 
@@ -238,10 +269,11 @@ class JointBpDecoder:
             self._m_c2v_z = self._check_update(self.gz, self._m_c2v_z, v2c_z, sign_t)
         raise AssertionError("unreachable")
 
-    def _views(self, b: int) -> SimpleNamespace:
-        """decode_batch's arrays for b frames, frame axis last, each a contiguous
-        prefix of a flat buffer grown to the largest batch seen."""
-        n, (m, d), j = self.n, self.gx.check_vars.shape, self.gx.deg_var
+    def _views(self, syn: np.ndarray) -> SimpleNamespace:
+        """decode_batch's arrays for the b frames of syn's (2m, b) syndrome bits,
+        frame axis last, each a contiguous prefix of a flat buffer grown to the
+        largest batch seen; they hold the bits and, per edge row, 2 (1 - 2 s)."""
+        n, (m, d), j, b = self.n, self.gx.check_vars.shape, self.gx.deg_var, syn.shape[1]
 
         def shaped(key, *shape, dtype=float):
             size = math.prod(shape) * b
@@ -251,82 +283,109 @@ class JointBpDecoder:
 
         v = SimpleNamespace(
             msg=shaped("msg", d * 2 * m), new=shaped("new", d * 2 * m), lam=shaped("lam", 2, n),
-            total=shaped("total", 2, n), ch=shaped("ch", 2, 2, n), gath=shaped("gath", j, 2, n),
-            t=shaped("t", 2, d, 2 * m), pre=shaped("pre", 2, d, 2 * m),
-            hs=shaped("hs", 2 * (n + m), dtype=bool), par=shaped("par", d + 1, 2 * m, dtype=bool),
+            total=shaped("total", 2, n), sign2=shaped("sign2", d * 2 * m),
+            par=shaped("par", d + 1, 2 * m, dtype=bool), slots=(d, 2 * m, b),
         )
+        # Product stack, slot-major: stack[k + 1] holds slot k's tanh in [0] and slot d-1-k's
+        # in [1], one contiguous (2, 2m, b) block.  With stack[0] = 1, the chain of d - 1
+        # in-place multiplies stack[k] *= stack[k - 1] then leaves in stack[k][0] the product
+        # over the slots before k (decode's pre) and in stack[k][1] over the slots after
+        # d-1-k (decode's suf), each in decode's order.
+        row = 4 * m * b
+        flat = shaped("stack", 4 * m + max(4 * m * d, 2 * n * (j + 2))).ravel()
+        v.stack = flat[:(d + 1) * row].reshape(d + 1, 2, 2 * m, b)
+        v.stack[0] = 1.0
+        v.tanh, v.flip = v.stack[1:, 0], (v.stack[1:d, 1], v.stack[d:1:-1, 0])
+        v.chain = [(v.stack[k - 1], v.stack[k], v.stack[k]) for k in range(1, d)]
+        v.pre_suf = (v.stack[:d, 0], v.stack[d - 1::-1, 1])
+        # The variable-side gather and the channel terms are spent before the check
+        # update writes stack[1:], so they live there.
+        v.gath = flat[row:row + j * 2 * n * b].reshape(j, 2, n, b)
+        v.ch = flat[row + j * 2 * n * b:row + (j + 2) * 2 * n * b].reshape(2, 2, n, b)
         v.other, v.terms = v.lam[::-1], (v.ch[0], v.ch[1])  # graph x's terms read z's sums
-        v.total_rows, v.hard = v.total.reshape(2 * n, b), v.hs[:2 * n].reshape(2, n, b)
-        # t[1] is t[0] slot-reversed: one chain leaves prefix products in pre[0], suffix in pre[1]
-        v.pre[:, 0] = 1.0
-        v.prods = [(v.pre[:, k - 1], v.t[:, k - 1], v.pre[:, k]) for k in range(1, d)]
-        v.flip, v.pre_suf = (v.t[1], v.t[0, ::-1]), (v.pre[0], v.pre[1, ::-1])
-        v.t0, v.t_rows = v.t[0], v.t[0].reshape(d * 2 * m, b)
+        v.total_rows, v.syn = v.total.reshape(2 * n, b), v.par[d]
+        v.par_rows = v.par[:d].reshape(-1, b)
+        v.syn[...] = syn
+        v.sign2.reshape(v.slots)[...] = (1.0 - 2.0 * syn) * 2.0
         return v
 
-    def decode_batch(self, S, T, p_d: float) -> list[DecodeOutcome]:
+    def decode_batch(self, S, T, p_d: float, *,
+                     stopped: Callable[[], bool] | None = None) -> list[DecodeOutcome]:
         """:meth:`decode` of B frames at once, each bit-identical to decode's.
 
         S is (B, rows of H_Z), T is (B, rows of H_X), one frame per row;
         returns one DecodeOutcome per row.  H_X and H_Z must have the
-        same shape and row weight.
+        same shape and row weight.  `stopped`, if given, is called once
+        per message-passing round; when it returns True the batch is
+        abandoned and [] is returned.
         """
         if self.gx.check_vars.shape != self.gz.check_vars.shape:
             raise ValueError("decode_batch needs H_X and H_Z of equal shape and row weight")
         S = _syndrome_bits("S", S, np.shape(S)[:1] + (self.gx.m,))
         T = _syndrome_bits("T", T, S.shape[:1] + (self.gz.m,))
         self._reset_messages(p_d)  # validates p_d and sets the log prior as decode does
-        ln_i, ln_x, ln_z, ln_y = self._log_prior
+        ln_i, ln_x = self._log_prior[:2]
         self._log_prior = None  # no single-frame state is left for posterior_llrs
         if not len(S):
             return []
-        ln_a = np.array([ln_i, ln_i, ln_x, ln_z]).reshape(2, 2, 1, 1)  # (term, graph) tables
-        ln_b = np.array([ln_z, ln_x, ln_y, ln_y]).reshape(2, 2, 1, 1)
+        # ln_x = ln_y = ln_z (depolarizing_prior), so a graph's two channel terms are
+        # logaddexp(ln_i, diff) and logaddexp(ln_x, diff), diff = ln_x - other sums.
+        ln_a = np.array([ln_i, ln_x]).reshape(2, 1, 1, 1)
         clip, damping, cap = self.cfg.llr_clip, self.cfg.damping, self.cfg.max_iterations
-        n, syn = self.n, np.concatenate([S.T, T.T])  # syn: (2m, B)
-        sign2, rows = (1.0 - 2.0 * syn) * 2.0, np.arange(len(S))  # rows: each column's frame
+        d = self.gx.deg_check
+        # |excl| <= tanh(clip / 2) when d >= 2, so the guard binds only if that comes
+        # within numpy tanh's few-ulp error (1e-13 leaves ~900 ulp) of _TANH_GUARD.
+        guard = d < 2 or math.tanh(clip / 2) > _TANH_GUARD - 1e-13
+        rows = np.arange(len(S))  # each column's frame
         outcomes: list[DecodeOutcome | None] = [None] * len(S)
-        v = self._views(len(S))
-        v.msg[...], v.hs[2 * n:] = 0.0, syn
+        v = self._views(np.concatenate([S.T, T.T]))
+        v.msg[...] = 0.0
         for it in range(cap + 1):
-            # Totals lam + Lambda and the hard decision, as in _update_posteriors.
+            # Totals lam + Lambda, as in _update_posteriors (diff is formed in total).
             v.msg.take(self._var_rows, axis=0, out=v.gath, mode="wrap")
             np.add.reduce(v.gath, axis=0, out=v.lam)
-            np.logaddexp(ln_a, np.subtract(ln_b, v.other, out=v.ch), out=v.ch)
+            np.logaddexp(ln_a, np.subtract(ln_x, v.other, out=v.total), out=v.ch)
             np.add(np.subtract(*v.terms, out=v.total), v.lam, out=v.total)
-            np.less(v.total, 0.0, out=v.hard)
-            v.hs.take(self._parity_rows, axis=0, out=v.par, mode="wrap")
+            # Each edge's total, the check update's input; its sign is the hard decision
+            # of the edge's variable, so the xor over a check's edges and syndrome bit
+            # is the check's mismatch.
+            t = v.new
+            v.total_rows.take(self._edge_vars, axis=0, out=t, mode="wrap")
+            np.less(t, 0.0, out=v.par_rows)
             fail = self._ones @ np.bitwise_xor.reduce(v.par, axis=0)
             last = it == cap or (p_d == 0.0 and it == 0)
             if last or np.count_nonzero(fail) < len(fail):
                 for r in range(len(fail)) if last else np.flatnonzero(~fail):
-                    x_hat, z_hat = v.hard[:, :, r].astype(np.uint8)
+                    x_hat, z_hat = (v.total[:, :, r] < 0.0).astype(np.uint8)
                     outcomes[rows[r]] = DecodeOutcome(x_hat, z_hat, not fail[r], it)
                 keep = np.flatnonzero(fail)
                 if last or not len(keep):
                     return outcomes
-                # Copy the active columns out, then lay out the views for them.
-                rows, sign2, syn = rows[keep], sign2[:, keep], v.hs[2 * n:, keep]
-                msg, total = v.msg[:, keep], v.total_rows[:, keep]
-                v = self._views(len(keep))
-                v.msg, v.hs[2 * n:], v.total_rows[...] = msg, syn, total
-            # Check update, as in _check_update.
-            t = v.t_rows
-            v.total_rows.take(self._parity_rows[:-1], axis=0, out=v.t0, mode="wrap")
+                # Copy the active columns out and back into C-ordered views for them
+                # (a[:, keep] is F-ordered, and mixed orders make every call strided).
+                rows, syn, msg, t = rows[keep], v.syn[:, keep], v.msg[:, keep], t[:, keep]
+                v = self._views(syn)
+                v.msg[...], v.new[...] = msg, t
+                t = v.new
+            if stopped is not None and stopped():
+                return []
+            # Check update, as in _check_update, from the edge totals in t = v.new.
             np.subtract(t, v.msg, out=t)
             t.clip(-clip, clip, out=t)
-            np.divide(t, 2.0, out=t)
-            np.tanh(t, out=t)
+            np.multiply(t, 0.5, out=t)  # the same double as / 2.0
+            t_slots = t.reshape(v.slots)
+            np.tanh(t_slots, out=v.tanh)
             np.copyto(*v.flip)
-            for pre, t_k, out in v.prods:
-                np.multiply(pre, t_k, out=out)
-            np.multiply(*v.pre_suf, out=v.t0)  # excl = pre * suf
-            t.clip(-_TANH_GUARD, _TANH_GUARD, out=t)
+            for prev, cur, out in v.chain:
+                np.multiply(prev, cur, out=out)
+            np.multiply(*v.pre_suf, out=t_slots)  # excl = pre * suf
+            if guard:
+                t.clip(-_TANH_GUARD, _TANH_GUARD, out=t)
             np.arctanh(t, out=t)
-            np.multiply(sign2, v.t0, out=v.t0)
-            t.clip(-clip, clip, out=v.new)
+            np.multiply(v.sign2, t, out=t)
+            t.clip(-clip, clip, out=t)
             if damping:
-                np.multiply(v.new, 1.0 - damping, out=v.new)
-                np.add(v.new, np.multiply(v.msg, damping, out=v.msg), out=v.new)
-            v.msg, v.new = v.new, v.msg
+                np.multiply(t, 1.0 - damping, out=t)
+                np.add(t, np.multiply(v.msg, damping, out=v.msg), out=t)
+            v.msg, v.new = t, v.msg
         raise AssertionError("unreachable")

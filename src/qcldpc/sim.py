@@ -11,9 +11,11 @@ Trials are independent work items: per-trial randomness is keyed by
 (seed, point index, trial index), and each record is folded, in trial
 order as it arrives, into counts, a weight histogram and the first
 logged failures, so a point's memory does not grow with its trials.
-Trials run in 25-trial chunks, on one process pool per sweep or, with
+Trials run in 50-trial chunks, on one process pool per sweep or, with
 one worker, in process; a chunk is sampled, decoded as one BP batch and
-judged as arrays, and pool workers skip the chunks of a stopped point.
+judged as arrays.  Pool workers skip the chunks of a stopped point, and a
+chunk still decoding when its point stops is abandoned within one BP
+iteration.
 The stopping rule (first of: F frame errors, T trials) cuts the ordered
 stream, so a point is bit-identical for any worker count and chunk size.
 """
@@ -29,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import count as counter, islice
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,8 +54,9 @@ __all__ = [
 ]
 
 # Trials per work item and BP batch.  Keyed trials fold in order, so it sets only
-# scheduling, the batch size and how much work runs past a point's stop rule.
-_CHUNK = 25
+# scheduling and the batch size; pooled chunks of a stopped point are abandoned
+# mid-decode, so it no longer bounds the work run past a point's stop rule.
+_CHUNK = 50
 _LOG2_3 = math.log2(3.0)
 
 
@@ -170,13 +173,18 @@ def _run_trials(
     point_index: int,
     start: int,
     count: int,
+    stopped: Callable[[], bool] | None = None,
 ) -> list[TrialRecord]:
     """Trials start .. start+count-1 as (count, n) arrays, each record equal to
-    trial_rng .. classify of its trial; a zero residual skips the row-space test."""
+    trial_rng .. classify of its trial; a zero residual skips the row-space test.
+    `stopped` goes to decode_batch, and a chunk it abandons returns []."""
     trials = range(start, start + count)
     x, z = pauli_bits(trial_uniforms(seed, point_index, trials, code.n), p_d)
     s, t = code.h_z.tanner_graph().check_sums(x), code.h_x.tanner_graph().check_sums(z)
-    outcomes = decoder.decode_batch(s, t, p_d)
+    outcomes = (decoder.decode_batch(s, t, p_d) if stopped is None
+                else decoder.decode_batch(s, t, p_d, stopped=stopped))
+    if not outcomes:  # abandoned
+        return []
     exact = ~(np.array([(o.x_hat, o.z_hat) for o in outcomes]) ^ np.stack((x, z), 1)).any((1, 2))
     return [
         TrialRecord(trial, o.converged, True, 0, 0, 0, o.iterations) if ok
@@ -200,7 +208,8 @@ def _pool(code: QuantumQcCode, cfg: DecoderConfig, workers: int):
     """A worker pool for `code`, shut down on any exit.
 
     Each run_point cancels its own queued chunks and writes its token to
-    `pool.stopped`, so the workers skip the chunks already handed to them.
+    `pool.stopped`, so the workers skip the chunks already handed to them
+    and abandon those they are decoding.
     `cancel_futures=True` is not used: on CPython 3.11 it deadlocks the
     shutdown when a chunk has failed to pickle.
     """
@@ -219,7 +228,8 @@ def _run_chunk(
     code, decoder, stopped = _worker
     if stopped.value == token:  # its point has stopped folding
         return []
-    return _run_trials(code, decoder, p_d, seed, point_index, start, count)
+    return _run_trials(code, decoder, p_d, seed, point_index, start, count,
+                       lambda: stopped.value == token)
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -256,7 +266,7 @@ def run_point(
 ) -> PointResult:
     """Monte Carlo estimate of FER/BER at one physical error rate.
 
-    Trials run in 25-trial chunks, each decoded as one batch, on a
+    Trials run in 50-trial chunks, each decoded as one batch, on a
     process pool (workers=1 stays in process; None means all cores, and
     fewer than 1 raises ValueError) and are folded in trial order, so the
     stopping rule cuts the stream at the same trial for any worker count:
@@ -312,7 +322,7 @@ def run_point(
             finally:  # the rule fired or a chunk failed: drop this point's queued chunks
                 for fut in pending:
                     fut.cancel()
-                pool.stopped.value = token  # and have the workers skip those already sent
+                pool.stopped.value = token  # and have the workers drop those already sent
     return PointResult(p_d, code.n, trials, iterations, histogram, tuple(failures))
 
 

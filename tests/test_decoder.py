@@ -1,4 +1,5 @@
 import math
+from itertools import count
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def assert_batch_matches_decode(dec, syns, p_d, want=None):
     batch=st.integers(1, 12),
     p_d=st.sampled_from([0.0, 1e-3, 0.03, 0.08, 0.2]),
     damping=st.sampled_from([0.0, 0.25, 0.6]),
-    llr_clip=st.sampled_from([1.5, 4.0, 25.0]),
+    llr_clip=st.sampled_from([1.5, 4.0, 25.0, 40.0]),  # 40: tanh(clip / 2) rounds to 1
     max_iterations=st.integers(1, 25),
     keyed=st.booleans(),
     seed=st.integers(0, 2**16),
@@ -200,6 +201,62 @@ def test_decode_batch_equals_decode_on_keyed_trials(pair, P, p_d):
     for batch in (1, 7, 25):
         for lo in range(0, len(syns), batch):
             assert_batch_matches_decode(dec, syns[lo:lo + batch], p_d, want[lo:lo + batch])
+
+
+@pytest.fixture(scope="module")
+def capped_frames(code25):
+    """Keyed n = 200 frames at p_d = 0.08 that decode runs to the iteration cap,
+    with decode's outcomes."""
+    dec = JointBpDecoder.for_code(code25)
+    syns = [
+        extract_syndrome(code25, sample_error(code25.n, 0.08, trial_rng(808, 0, t)))
+        for t in range(60)
+    ]
+    frames = [(syn, out) for syn in syns
+              if (out := dec.decode(syn, 0.08)).iterations == dec.cfg.max_iterations]
+    assert len(frames) >= 8
+    return frames[:8]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 4])
+def test_decode_batch_equals_decode_on_capped_frames(code25, capped_frames, batch):
+    # Most of a chunk's BP iterations run on a few capped frames left in the batch.
+    dec = JointBpDecoder.for_code(code25)
+    for lo in range(0, len(capped_frames), batch):
+        syns, want = zip(*capped_frames[lo:lo + batch])
+        assert_batch_matches_decode(dec, syns, 0.08, list(want))
+
+
+def test_decode_batch_equals_decode_where_the_atanh_guard_binds(code5):
+    # At llr_clip = 40, tanh(clip / 2) rounds to 1; in trial 22 a product of
+    # such factors reaches +-1 and _TANH_GUARD changes the frame's outcome.
+    dec = JointBpDecoder.for_code(code5, DecoderConfig(llr_clip=40.0))
+    syns = [
+        extract_syndrome(code5, sample_error(code5.n, 0.03, trial_rng(1, 0, t)))
+        for t in range(15, 30)
+    ]
+    assert_batch_matches_decode(dec, syns, 0.03)
+
+
+def test_decode_batch_asks_stopped_once_per_round(code25):
+    dec = JointBpDecoder.for_code(code25)
+    syns = [
+        extract_syndrome(code25, sample_error(code25.n, 0.06, trial_rng(5, 0, t)))
+        for t in range(6)
+    ]
+    S, T = [syn.s for syn in syns], [syn.t for syn in syns]
+    want = dec.decode_batch(S, T, 0.06)
+    asked = count()
+    got = dec.decode_batch(S, T, 0.06, stopped=lambda: next(asked) < 0)  # never stops
+    assert [(o.converged, o.iterations) for o in got] == [
+        (o.converged, o.iterations) for o in want]
+    assert all((a.x_hat == b.x_hat).all() and (a.z_hat == b.z_hat).all()
+               for a, b in zip(got, want))
+    rounds = max(o.iterations for o in want)
+    assert rounds >= 3 and next(asked) == rounds
+    asked = count()
+    assert dec.decode_batch(S, T, 0.06, stopped=lambda: next(asked) == 2) == []
+    assert next(asked) == 3  # abandoned at the third round's check
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,30 @@ def test_run_chunk_skips_the_chunks_of_a_stopped_point(code5, monkeypatch):
     assert sim._run_chunk(8, 0.1, 3, 0, 0, 25) == want and len(want) == 25
 
 
+class _StopsAfter:
+    """Stands in for a pool's shared `stopped` value: reads 0 for its first
+    `reads` reads and `token` after them, and counts its reads."""
+
+    def __init__(self, token, reads):
+        self.token, self.left, self.reads = token, reads, 0
+
+    @property
+    def value(self):
+        self.reads += 1
+        return self.token if self.reads > self.left else 0
+
+
+def test_run_chunk_abandons_a_chunk_whose_point_stops_while_it_decodes(code5, monkeypatch):
+    monkeypatch.setattr(sim, "_worker", None)
+    stopped = _StopsAfter(7, reads=3)  # the skip check, then two BP rounds
+    sim._init_worker(code5, DecoderConfig(), stopped)
+    assert sim._run_chunk(7, 0.3, 3, 0, 0, 25) == []
+    assert stopped.reads == 4
+    # Unstopped, the same chunk runs to the iteration cap.
+    want = sim._run_trials(code5, JointBpDecoder.for_code(code5), 0.3, 3, 0, 0, 25)
+    assert max(r.iterations for r in want) == DecoderConfig().max_iterations
+
+
 def test_pooled_run_point_writes_its_token_when_it_stops(code5, monkeypatch):
     monkeypatch.setattr(sim, "_tokens", count(41))
     cfg = DecoderConfig(max_iterations=30)
