@@ -11,7 +11,7 @@ Trials are independent work items: per-trial randomness is keyed by
 (seed, point index, trial index), and each record is folded, in trial
 order as it arrives, into counts, a weight histogram and the first
 logged failures, so a point's memory does not grow with its trials.
-Trials run in 50-trial chunks, on one process pool per sweep or, with
+Trials run in 25-trial chunks, on one process pool per sweep or, with
 one worker, in process; a chunk is sampled, decoded as one BP batch and
 judged as arrays.  Pool workers skip the chunks of a stopped point, and a
 chunk still decoding when its point stops is abandoned within one BP
@@ -54,9 +54,9 @@ __all__ = [
 ]
 
 # Trials per work item and BP batch.  Keyed trials fold in order, so it sets only
-# scheduling and the batch size; pooled chunks of a stopped point are abandoned
-# mid-decode, so it no longer bounds the work run past a point's stop rule.
-_CHUNK = 50
+# scheduling and the batch size.  Pooled chunks of a stopped point are abandoned
+# mid-decode; in process, a point's last chunk runs to its end.
+_CHUNK = 25
 _LOG2_3 = math.log2(3.0)
 
 
@@ -181,8 +181,7 @@ def _run_trials(
     trials = range(start, start + count)
     x, z = pauli_bits(trial_uniforms(seed, point_index, trials, code.n), p_d)
     s, t = code.h_z.tanner_graph().check_sums(x), code.h_x.tanner_graph().check_sums(z)
-    outcomes = (decoder.decode_batch(s, t, p_d) if stopped is None
-                else decoder.decode_batch(s, t, p_d, stopped=stopped))
+    outcomes = decoder.decode_batch(s, t, p_d, stopped=stopped)
     if not outcomes:  # abandoned
         return []
     exact = ~(np.array([(o.x_hat, o.z_hat) for o in outcomes]) ^ np.stack((x, z), 1)).any((1, 2))
@@ -266,7 +265,7 @@ def run_point(
 ) -> PointResult:
     """Monte Carlo estimate of FER/BER at one physical error rate.
 
-    Trials run in 50-trial chunks, each decoded as one batch, on a
+    Trials run in 25-trial chunks, each decoded as one batch, on a
     process pool (workers=1 stays in process; None means all cores, and
     fewer than 1 raises ValueError) and are folded in trial order, so the
     stopping rule cuts the stream at the same trial for any worker count:

@@ -339,8 +339,8 @@ class _ShiftedByStabilizer:
     def decode(self, syn, p_d):
         return self.shifted(self.decoder.decode(syn, p_d))
 
-    def decode_batch(self, S, T, p_d):
-        return [self.shifted(o) for o in self.decoder.decode_batch(S, T, p_d)]
+    def decode_batch(self, S, T, p_d, stopped=None):
+        return [self.shifted(o) for o in self.decoder.decode_batch(S, T, p_d, stopped=stopped)]
 
 
 def test_run_trials_judges_degenerate_residuals_as_successes():
