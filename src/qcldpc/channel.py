@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import QuantumQcCode
+from .gf2 import as_bits
 
 __all__ = [
     "PauliError",
@@ -35,6 +36,8 @@ class PauliError:
     def __post_init__(self):
         if self.x.shape != self.z.shape or self.x.ndim != 1:
             raise ValueError("x and z must be 1-D arrays of equal length")
+        as_bits("x", self.x, self.x.shape)
+        as_bits("z", self.z, self.z.shape)
 
     @property
     def n(self) -> int:

@@ -77,6 +77,16 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"invalid probability grid {text!r}") from None
 
 
+def _parse_multipliers(text: str) -> list[int]:
+    try:
+        ks = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        ks = []
+    if not ks or min(ks) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers like 1,2,3, got {text!r}")
+    return ks
+
+
 def _add_pair_source(parser: argparse.ArgumentParser) -> None:
     src = parser.add_mutually_exclusive_group()
     src.add_argument(
@@ -338,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_floor.add_argument("--l", type=int, required=True, help="row weight unit L")
     p_floor.add_argument(
         "--k",
-        type=lambda s: [int(t) for t in s.split(",") if t.strip()],
+        type=_parse_multipliers,
         default=[1, 2, 3],
         help="comma-separated multipliers (default 1,2,3)",
     )

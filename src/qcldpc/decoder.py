@@ -24,17 +24,18 @@ stops on match or after max_iterations rounds.
 
 Both graphs are the :class:`~qcldpc.gf2.TannerGraph` layouts cached on
 the check matrices (the ones syndrome extraction reads), which also
-enforce the regularity the fixed-shape message arrays rely on.
+enforce the regularity the fixed-shape message arrays rely on.  H_X and
+H_Z must also have the same shape and row weight, as every built code's
+do, so that decode_batch can stack the two graphs.
 
 :meth:`JointBpDecoder.decode_batch` decodes B frames at once for the Monte
 Carlo driver.  Its messages live in one frame-minor (d, 2, m, B) array
 (edge slot, graph, check, frame): both graphs of every frame update in one
 numpy call per step, each edge slot is one contiguous block, and gathers
-move whole rows.  This needs graphs of equal shape, as every built code
-has.  Most of its iterations run after all but one to four frames have
-stopped, mostly on frames that reach the iteration cap, and at such widths
-numpy's per-call cost outweighs the arithmetic, so an iteration makes few
-calls, on contiguous blocks:
+move whole rows.  Most of its iterations run after all but one to four
+frames have stopped, mostly on frames that reach the iteration cap, and at
+such widths numpy's per-call cost outweighs the arithmetic, so an
+iteration makes few calls, on contiguous blocks:
 
 * one gather of the per-edge totals feeds both the check update and the
   stopping test: an edge's total is negative exactly where its variable's
@@ -65,7 +66,7 @@ Every sum and product keeps decode's operand order, and every tanh,
 arctanh and logaddexp runs on operands whose inner loop is contiguous as
 decode's do (numpy picks a SIMD or a scalar libm kernel by memory layout,
 and the two can differ in the last bit), so each frame is bit-identical to
-decode, which stays the single-frame loop: the tests' reference, and the
+decode, the stateless single-frame loop: the tests' reference, and the
 per-frame call the benchmark's traced replay times.
 """
 
@@ -80,7 +81,7 @@ import numpy as np
 
 from .channel import Syndrome, depolarizing_prior
 from .codes import QuantumQcCode
-from .gf2 import SparseBinaryMatrix, TannerGraph
+from .gf2 import SparseBinaryMatrix, as_bits
 
 __all__ = ["DecoderConfig", "DecodeOutcome", "JointBpDecoder"]
 
@@ -88,14 +89,13 @@ __all__ = ["DecoderConfig", "DecodeOutcome", "JointBpDecoder"]
 _TANH_GUARD = 1.0 - 1e-15
 
 
-def _syndrome_bits(name: str, v, shape: tuple[int, ...]) -> np.ndarray:
-    """`v` as uint8 after checking its shape and that it holds only 0 and 1."""
-    v = np.asarray(v)
-    if v.shape != shape:
-        raise ValueError(f"{name} has shape {v.shape}, expected {shape}")
-    if not ((v == 0) | (v == 1)).all():
-        raise ValueError(f"{name} must hold only 0 and 1")
-    return v.astype(np.uint8)
+def _log_prior(p_d: float) -> tuple[float, float, float, float]:
+    """(ln p_I, ln p_X, ln p_Z, ln p_Y) of the depolarizing prior at p_d, in [0, 1)."""
+    if not 0.0 <= p_d < 1.0:
+        raise ValueError(f"decoder requires 0 <= p_d < 1, got {p_d}")
+    prior = depolarizing_prior(p_d)
+    with np.errstate(divide="ignore"):  # log(0) -> -inf is wanted
+        return tuple(np.log(p) for p in (prior.p_ii, prior.p_x, prior.p_z, prior.p_y))
 
 
 @dataclass(frozen=True)
@@ -129,39 +129,33 @@ class DecodeOutcome:
 
 
 class JointBpDecoder:
-    """Reusable decoder instance for one (H_X, H_Z) pair.
+    """Decoder for one (H_X, H_Z) pair of the same shape and row weight.
 
-    Workspace arrays are allocated once and reset per decode; a single
-    instance is single-threaded, distinct instances share nothing
-    mutable.
+    decode keeps no state between calls; decode_batch keeps flat buffers
+    grown to the largest batch seen, so a single instance is
+    single-threaded, and distinct instances share nothing mutable.
     """
 
     def __init__(self, h_x: SparseBinaryMatrix, h_z: SparseBinaryMatrix,
                  cfg: DecoderConfig | None = None):
-        if h_x.cols != h_z.cols:
-            raise ValueError("H_X and H_Z must have the same number of columns")
         self.cfg = cfg or DecoderConfig()
         self.n = h_x.cols
         # Graph "x" constrains the x-component (rows of H_Z), "z" the
         # z-component (rows of H_X).
         self.gx = h_z.tanner_graph()
         self.gz = h_x.tanner_graph()
-        self._m_c2v_x = np.zeros((self.gx.m, self.gx.deg_check))
-        self._m_c2v_z = np.zeros((self.gz.m, self.gz.deg_check))
-        self._post_x = np.zeros(self.n)
-        self._post_z = np.zeros(self.n)
-        self._log_prior = None
+        if h_x.cols != h_z.cols or self.gx.check_vars.shape != self.gz.check_vars.shape:
+            raise ValueError("H_X and H_Z must have the same shape and row weight")
         # decode_batch's frame-minor rows, for any B: edge (c, k) of graph g is row
         # k*2m + g*m + c of the (d*2m, B) messages, variable v row g*n + v of totals.
-        if self.gx.check_vars.shape == self.gz.check_vars.shape:
-            m, d = self.gx.check_vars.shape
-            graphs = list(enumerate((self.gx, self.gz)))
-            self._var_rows = np.stack(  # (deg_var, 2, n): each variable's edges
-                [(g.var_edges % d * 2 * m + i * m + g.var_edges // d).T for i, g in graphs], 1)
-            # Each edge's variable: row k*2m + g*m + c of the per-edge totals reads row g*n + v.
-            self._edge_vars = np.stack(
-                [g.check_vars.T + i * self.n for i, g in graphs], 1).ravel()
-            self._ones = np.ones(2 * m, dtype=bool)  # ones @ mismatches: any per frame
+        m, d = self.gx.check_vars.shape
+        graphs = list(enumerate((self.gx, self.gz)))
+        self._var_rows = np.stack(  # (deg_var, 2, n): each variable's edges
+            [(g.var_edges % d * 2 * m + i * m + g.var_edges // d).T for i, g in graphs], 1)
+        # Each edge's variable: row k*2m + g*m + c of the per-edge totals reads row g*n + v.
+        self._edge_vars = np.stack(
+            [g.check_vars.T + i * self.n for i, g in graphs], 1).ravel()
+        self._ones = np.ones(2 * m, dtype=bool)  # ones @ mismatches: any per frame
         self._flat: dict[str, np.ndarray] = {}
 
     @classmethod
@@ -169,52 +163,10 @@ class JointBpDecoder:
                  cfg: DecoderConfig | None = None) -> "JointBpDecoder":
         return cls(code.h_x, code.h_z, cfg)
 
-    def reset(self, p_d: float) -> None:
-        """Clear messages and set the channel prior; leaves the decoder
-        in its iteration-0 state (posterior = pure prior)."""
-        self._reset_messages(p_d)
-        self._update_posteriors()
-
-    def _reset_messages(self, p_d: float) -> None:
-        if not 0.0 <= p_d < 1.0:
-            raise ValueError(f"decoder requires 0 <= p_d < 1, got {p_d}")
-        prior = depolarizing_prior(p_d)
-        with np.errstate(divide="ignore"):  # log(0) -> -inf is wanted
-            self._log_prior = tuple(
-                np.log(p) for p in (prior.p_ii, prior.p_x, prior.p_z, prior.p_y)
-            )
-        self._m_c2v_x.fill(0.0)
-        self._m_c2v_z.fill(0.0)
-
-    def _update_posteriors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Set the clipped hard-decision posteriors from the current
-        check messages; returns the unclipped totals lam + Lambda."""
-        lam_sum_x = self._m_c2v_x.ravel()[self.gx.var_edges].sum(axis=1)
-        lam_sum_z = self._m_c2v_z.ravel()[self.gz.var_edges].sum(axis=1)
-        ln_i, ln_x, ln_z, ln_y = self._log_prior
-        chan_x = np.logaddexp(ln_i, ln_z - lam_sum_z) - np.logaddexp(
-            ln_x, ln_y - lam_sum_z
-        )
-        chan_z = np.logaddexp(ln_i, ln_x - lam_sum_x) - np.logaddexp(
-            ln_z, ln_y - lam_sum_x
-        )
-        total_x = chan_x + lam_sum_x
-        total_z = chan_z + lam_sum_z
-        clip = self.cfg.llr_clip
-        np.clip(total_x, -clip, clip, out=self._post_x)
-        np.clip(total_z, -clip, clip, out=self._post_z)
-        return total_x, total_z
-
-    def posterior_llrs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hard-decision LLRs of the current iteration (clipped, finite)."""
-        if self._log_prior is None:
-            raise RuntimeError("decoder has no state; call reset() or decode() first")
-        return self._post_x.copy(), self._post_z.copy()
-
-    def _check_update(self, graph: TannerGraph, m_c2v, v2c, syn_sign) -> np.ndarray:
+    def _check_update(self, m_c2v, v2c, syn_sign) -> np.ndarray:
         clip = self.cfg.llr_clip
         t = np.tanh(np.clip(v2c, -clip, clip) / 2.0)
-        d = graph.deg_check
+        d = t.shape[1]
         pre = np.ones_like(t)
         suf = np.ones_like(t)
         for k in range(1, d):
@@ -242,17 +194,26 @@ class JointBpDecoder:
             DecodeOutcome; converged implies the recomputed syndrome
             equals the input.
         """
-        s = _syndrome_bits("s", syn.s, (self.gx.m,))
-        t = _syndrome_bits("t", syn.t, (self.gz.m,))
-
-        self._reset_messages(p_d)
-        sign_s = 1.0 - 2.0 * s.astype(np.float64)
-        sign_t = 1.0 - 2.0 * t.astype(np.float64)
+        s = as_bits("s", syn.s, (self.gx.m,))
+        t = as_bits("t", syn.t, (self.gz.m,))
+        ln_i, ln_x, ln_z, ln_y = _log_prior(p_d)
+        sign_s = 1.0 - 2.0 * s
+        sign_t = 1.0 - 2.0 * t
+        m_x = np.zeros(self.gx.check_vars.shape)  # check -> variable messages
+        m_z = np.zeros(self.gz.check_vars.shape)
 
         for it in range(self.cfg.max_iterations + 1):
-            total_x, total_z = self._update_posteriors()
-            x_hat = (self._post_x < 0).astype(np.uint8)
-            z_hat = (self._post_z < 0).astype(np.uint8)
+            # Totals lam + Lambda, each graph's channel term read from the other's sums.
+            lam_sum_x = m_x.ravel()[self.gx.var_edges].sum(axis=1)
+            lam_sum_z = m_z.ravel()[self.gz.var_edges].sum(axis=1)
+            total_x = np.logaddexp(ln_i, ln_z - lam_sum_z) - np.logaddexp(
+                ln_x, ln_y - lam_sum_z
+            ) + lam_sum_x
+            total_z = np.logaddexp(ln_i, ln_x - lam_sum_x) - np.logaddexp(
+                ln_z, ln_y - lam_sum_x
+            ) + lam_sum_z
+            x_hat = (total_x < 0).astype(np.uint8)
+            z_hat = (total_z < 0).astype(np.uint8)
             if np.array_equal(self.gx.check_sums(x_hat), s) and np.array_equal(
                 self.gz.check_sums(z_hat), t
             ):
@@ -263,10 +224,8 @@ class JointBpDecoder:
                 return DecodeOutcome(
                     x_hat=x_hat, z_hat=z_hat, converged=False, iterations=it
                 )
-            v2c_x = total_x[self.gx.check_vars] - self._m_c2v_x
-            v2c_z = total_z[self.gz.check_vars] - self._m_c2v_z
-            self._m_c2v_x = self._check_update(self.gx, self._m_c2v_x, v2c_x, sign_s)
-            self._m_c2v_z = self._check_update(self.gz, self._m_c2v_z, v2c_z, sign_t)
+            m_x = self._check_update(m_x, total_x[self.gx.check_vars] - m_x, sign_s)
+            m_z = self._check_update(m_z, total_z[self.gz.check_vars] - m_z, sign_t)
         raise AssertionError("unreachable")
 
     def _views(self, syn: np.ndarray) -> SimpleNamespace:
@@ -314,18 +273,13 @@ class JointBpDecoder:
         """:meth:`decode` of B frames at once, each bit-identical to decode's.
 
         S is (B, rows of H_Z), T is (B, rows of H_X), one frame per row;
-        returns one DecodeOutcome per row.  H_X and H_Z must have the
-        same shape and row weight.  `stopped`, if given, is called once
-        per message-passing round; when it returns True the batch is
+        returns one DecodeOutcome per row.  `stopped`, if given, is called
+        once per message-passing round; when it returns True the batch is
         abandoned and [] is returned.
         """
-        if self.gx.check_vars.shape != self.gz.check_vars.shape:
-            raise ValueError("decode_batch needs H_X and H_Z of equal shape and row weight")
-        S = _syndrome_bits("S", S, np.shape(S)[:1] + (self.gx.m,))
-        T = _syndrome_bits("T", T, S.shape[:1] + (self.gz.m,))
-        self._reset_messages(p_d)  # validates p_d and sets the log prior as decode does
-        ln_i, ln_x = self._log_prior[:2]
-        self._log_prior = None  # no single-frame state is left for posterior_llrs
+        S = as_bits("S", S, np.shape(S)[:1] + (self.gx.m,))
+        T = as_bits("T", T, S.shape[:1] + (self.gz.m,))
+        ln_i, ln_x = _log_prior(p_d)[:2]
         if not len(S):
             return []
         # ln_x = ln_y = ln_z (depolarizing_prior), so a graph's two channel terms are
@@ -341,7 +295,7 @@ class JointBpDecoder:
         v = self._views(np.concatenate([S.T, T.T]))
         v.msg[...] = 0.0
         for it in range(cap + 1):
-            # Totals lam + Lambda, as in _update_posteriors (diff is formed in total).
+            # Totals lam + Lambda, as in decode (diff is formed in total).
             v.msg.take(self._var_rows, axis=0, out=v.gath, mode="wrap")
             np.add.reduce(v.gath, axis=0, out=v.lam)
             np.logaddexp(ln_a, np.subtract(ln_x, v.other, out=v.total), out=v.ch)

@@ -25,9 +25,19 @@ __all__ = [
 ]
 
 
+def as_bits(name: str, v, shape: tuple[int, ...]) -> np.ndarray:
+    """`v` as uint8 after checking its shape and that it holds only 0 and 1."""
+    v = np.asarray(v)
+    if v.shape != shape:
+        raise ValueError(f"{name} has shape {v.shape}, expected {shape}")
+    if not (v == v.astype(bool)).all():  # True == 1 and False == 0 only
+        raise ValueError(f"{name} must hold only 0 and 1")
+    return v.astype(np.uint8)
+
+
 def pack_bits(v: np.ndarray) -> int:
-    """Pack a {0,1} vector into a Python int (bit i = v[i])."""
-    v = np.ascontiguousarray(np.asarray(v, dtype=np.uint8) & 1)
+    """Pack a {0,1} vector into a Python int (bit i = v[i]); other entries raise ValueError."""
+    v = as_bits("v", v, np.shape(v))
     return int.from_bytes(np.packbits(v, bitorder="little").tobytes(), "little")
 
 
@@ -183,7 +193,7 @@ class RowSpace:
 
     def contains(self, v: np.ndarray) -> bool:
         """True iff v is a GF(2) linear combination of the basis rows."""
-        v = np.asarray(v, dtype=np.uint8)
+        v = np.asarray(v)
         if v.shape != (self.cols,):
             raise ValueError(f"vector length {v.shape} does not match cols {self.cols}")
         return self._reduce(pack_bits(v), self._pivots) == 0

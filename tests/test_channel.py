@@ -211,3 +211,13 @@ def test_stabilizers_invisible_to_syndrome(code5):
 def test_syndrome_length_mismatch(code5):
     with pytest.raises(ValueError):
         extract_syndrome(code5, zero_error(code5.n + 1))
+
+
+@pytest.mark.parametrize("side", ["x", "z"])
+@pytest.mark.parametrize("value", [2, 0.7])
+def test_pauli_error_rejects_non_binary_bits(side, value):
+    # A 2 used to pass, and extract_syndrome then returned a syndrome holding 2.
+    bits = {"x": np.zeros(5, dtype=type(value)), "z": np.zeros(5, dtype=type(value))}
+    bits[side][2] = value
+    with pytest.raises(ValueError, match=f"^{side} must hold only 0 and 1"):
+        PauliError(**bits)

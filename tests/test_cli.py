@@ -349,6 +349,17 @@ def test_floor_empty_log(tmp_path, capsys):
     assert "no failures recorded" in out
 
 
+@pytest.mark.parametrize("k", [",", "0,-1", "0", "2,x"])
+def test_floor_rejects_multipliers_that_are_not_positive_integers(tmp_path, capsys, k):
+    # "," used to print no fraction rows, and "0,-1" rows for 0L and -1L.
+    log = tmp_path / "f.jsonl"
+    write_log(log, [3])
+    with pytest.raises(SystemExit) as exc:
+        main(["floor", str(log), "--l", "8", f"--k={k}"])
+    assert exc.value.code == 2
+    assert "positive integers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ['{"trial":0}', "[1,2]", '{"bit_errors":"3"}', "{"])
 def test_floor_rejects_a_line_that_is_not_a_failure_record(tmp_path, capsys, line):
     log = tmp_path / "bad.jsonl"

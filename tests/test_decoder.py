@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import mul_mod2
 from qcldpc import build_code
 from qcldpc.channel import PauliError, Syndrome, extract_syndrome, sample_error, trial_rng
-from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder
+from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder, _log_prior
 from qcldpc.gf2 import SparseBinaryMatrix
 
 
@@ -89,8 +89,11 @@ def test_zero_rate_nonzero_syndrome_fails_immediately(code25):
 
 @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
 def test_decode_rejects_bad_rate(code25, bad):
-    with pytest.raises(ValueError):
-        JointBpDecoder.for_code(code25).decode(zero_syndrome(code25), bad)
+    dec, syn = JointBpDecoder.for_code(code25), zero_syndrome(code25)
+    with pytest.raises(ValueError, match="0 <= p_d < 1"):
+        dec.decode(syn, bad)
+    with pytest.raises(ValueError, match="0 <= p_d < 1"):
+        dec.decode_batch([syn.s], [syn.t], bad)
 
 
 def test_decode_rejects_wrong_syndrome_length(code25):
@@ -128,15 +131,15 @@ def test_decode_batch_rejects_mismatched_batches(code25):
                             0.05) == []
 
 
-def test_decode_batch_requires_graphs_of_equal_shape():
-    # A 2 x 4 H_X against a 1 x 4 H_Z: decode works, decode_batch cannot stack them.
+def test_decoder_requires_graphs_of_equal_shape():
+    # Against a 2 x 4 H_X of row weight 2: a 1 x 4 H_Z, a 2 x 4 H_Z of row weight 4,
+    # and a 2 x 6 H_Z of row weight 2.
     h_x = SparseBinaryMatrix(2, 4, [[0, 1], [2, 3]])
-    h_z = SparseBinaryMatrix(1, 4, [[0, 1, 2, 3]])
-    dec = JointBpDecoder(h_x, h_z)
-    syn = Syndrome(s=np.zeros(1, dtype=np.uint8), t=np.array([1, 0], dtype=np.uint8))
-    assert dec.decode(syn, 0.1).iterations >= 0
-    with pytest.raises(ValueError, match="equal shape"):
-        dec.decode_batch([syn.s], [syn.t], 0.1)
+    for h_z in (SparseBinaryMatrix(1, 4, [[0, 1, 2, 3]]),
+                SparseBinaryMatrix(2, 4, [[0, 1, 2, 3], [0, 1, 2, 3]]),
+                SparseBinaryMatrix(3, 6, [[0, 1], [2, 3], [4, 5]])):
+        with pytest.raises(ValueError, match="same shape and row weight"):
+            JointBpDecoder(h_x, h_z)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,23 @@ def test_decode_batch_equals_decode_where_the_atanh_guard_binds(code5):
     assert_batch_matches_decode(dec, syns, 0.03)
 
 
+def test_decode_batch_after_an_abandoned_batch(code25):
+    # A pool worker's sequence: one decoder abandons a chunk mid-decode (its stale
+    # messages stay in the buffers), then decodes chunks of other widths.
+    dec = JointBpDecoder.for_code(code25)
+    syns = [
+        extract_syndrome(code25, sample_error(code25.n, 0.08, trial_rng(808, 0, t)))
+        for t in range(20)
+    ]
+    want = [dec.decode(syn, 0.08) for syn in syns]
+    asked = count()
+    assert dec.decode_batch([syn.s for syn in syns[:8]], [syn.t for syn in syns[:8]], 0.08,
+                            stopped=lambda: next(asked) == 5) == []
+    assert next(asked) == 6  # abandoned at the sixth round's check
+    for lo, hi in ((8, 11), (11, 12), (0, 20)):
+        assert_batch_matches_decode(dec, syns[lo:hi], 0.08, want[lo:hi])
+
+
 def test_decode_batch_asks_stopped_once_per_round(code25):
     dec = JointBpDecoder.for_code(code25)
     syns = [
@@ -308,52 +328,27 @@ def test_convergence_soundness_on_channel_errors(code25):
 
 
 # ---------------------------------------------------------------------------
-# posterior LLRs
+# prior-only totals
 
 
-def test_prior_only_llrs_match_closed_form(code25):
-    dec = JointBpDecoder.for_code(code25)
-    dec.reset(0.1)
-    lx, lz = dec.posterior_llrs()
-    assert np.allclose(lx, math.log(14.0))
-    assert np.allclose(lz, math.log(14.0))
+def prior_only_totals(p_d):
+    """decode's iteration-0 totals (x side, z side): the channel terms with no
+    check messages."""
+    ln_i, ln_x, ln_z, ln_y = _log_prior(p_d)
+    return (np.logaddexp(ln_i, ln_z) - np.logaddexp(ln_x, ln_y),
+            np.logaddexp(ln_i, ln_x) - np.logaddexp(ln_z, ln_y))
+
+
+def test_prior_only_llrs_match_closed_form():
+    # (p_I + p_Z) / (p_X + p_Y) = (0.9 + 0.1/3) / (0.2/3) = 14.
+    assert np.allclose(prior_only_totals(0.1), math.log(14.0))
 
 
 def test_uniform_pauli_prior_gives_zero_llrs(code25):
-    dec = JointBpDecoder.for_code(code25)
-    dec.reset(0.75)
-    lx, lz = dec.posterior_llrs()
-    assert np.all(lx == 0.0) and np.all(lz == 0.0)
-
-
-def test_llrs_bounded_by_clip(code25):
-    cfg = DecoderConfig(max_iterations=40, llr_clip=8.0)
-    dec = JointBpDecoder.for_code(code25, cfg)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        syn = Syndrome(
-            s=rng.integers(0, 2, code25.h_z.rows).astype(np.uint8),
-            t=rng.integers(0, 2, code25.h_x.rows).astype(np.uint8),
-        )
-        dec.decode(syn, 0.03)
-        lx, lz = dec.posterior_llrs()
-        assert np.all(np.abs(lx) <= cfg.llr_clip)
-        assert np.all(np.abs(lz) <= cfg.llr_clip)
-        assert np.all(np.isfinite(lx)) and np.all(np.isfinite(lz))
-
-
-def test_posterior_llrs_requires_state(code25):
-    dec = JointBpDecoder.for_code(code25)
-    with pytest.raises(RuntimeError):
-        dec.posterior_llrs()
-
-
-def test_decode_batch_leaves_no_single_frame_posteriors(code25):
-    dec = JointBpDecoder.for_code(code25)
-    dec.reset(0.1)
-    dec.decode_batch([zero_syndrome(code25).s], [zero_syndrome(code25).t], 0.05)
-    with pytest.raises(RuntimeError):
-        dec.posterior_llrs()
+    assert prior_only_totals(0.75) == (0.0, 0.0)
+    # A zero total decides 0, so the zero syndrome converges at once.
+    out = JointBpDecoder.for_code(code25).decode(zero_syndrome(code25), 0.75)
+    assert out.converged and out.iterations == 0 and not out.x_hat.any()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import dense_rank, has_four_cycle, mul_mod2, row_space_set, short_cycle_girth
 from qcldpc.codes import ExponentMatrix, expand_exponent_matrix
-from qcldpc.gf2 import RowSpace, SparseBinaryMatrix, girth
+from qcldpc.gf2 import RowSpace, SparseBinaryMatrix, girth, pack_bits
 
 
 def random_sparse(rng, rows, cols, density=0.2):
@@ -202,6 +202,17 @@ def test_row_space_closed_under_adding_rows():
 def test_row_space_length_mismatch():
     with pytest.raises(ValueError):
         RowSpace(cpm(0, 4)).contains(np.zeros(5, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("value", [2, 0.7])
+def test_row_space_rejects_non_binary_vectors(value):
+    # Both used to read as 0 (a cast to uint8, then & 1), so the identity's
+    # full row space "contained" them.
+    v = np.zeros(4, dtype=type(value))
+    v[1] = value
+    for call in (RowSpace(cpm(0, 4)).contains, pack_bits):
+        with pytest.raises(ValueError, match="must hold only 0 and 1"):
+            call(v)
 
 
 # ---------------------------------------------------------------------------
