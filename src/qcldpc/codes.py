@@ -174,13 +174,9 @@ def expand_exponent_matrix(em: ExponentMatrix, P: int) -> SparseBinaryMatrix:
     """
     if P < 1:
         raise ValueError(f"circulant size must be >= 1, got {P}")
-    J, L = em.J, em.L
-    i = np.arange(P, dtype=np.int64)
-    support = np.empty((J * P, L), dtype=np.int64)
-    for j in range(J):
-        for l, shift in enumerate(em.entries[j]):
-            support[j * P : (j + 1) * P, l] = l * P + (i + shift) % P
-    return SparseBinaryMatrix(J * P, L * P, support)
+    shifts = np.array([[shift % P for shift in row] for row in em.entries], dtype=np.int64)
+    support = np.arange(em.L) * P + (np.arange(P)[:, None] + shifts[:, None, :]) % P  # (J, P, L)
+    return SparseBinaryMatrix(em.J * P, em.L * P, support.reshape(em.J * P, em.L))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 Bit vectors are plain 1-D numpy uint8 arrays with values in {0, 1};
 XOR is the additive group operation.  Matrices are stored row-sparse
-(sorted column indices per row).  Rank and row-space queries convert
-rows to Python integers (one bit per column) and eliminate with
-bit-parallel XOR, which is fast at the few-thousand-column scale this
-library operates at.
+(sorted column indices per row; one np.unique call canonicalizes all
+rows).  Rank and row-space queries convert rows to Python integers
+(one bit per column) and eliminate with bit-parallel XOR, which is
+fast at the few-thousand-column scale this library operates at.
 A regular matrix caches its :class:`TannerGraph`, the edge layout that
 syndrome extraction and the decoder share.
 """
@@ -44,9 +44,9 @@ def pack_bits(v: np.ndarray) -> int:
 class SparseBinaryMatrix:
     """Binary matrix stored as per-row sorted arrays of column indices.
 
-    Construction canonicalizes each row: entries appearing an even
-    number of times cancel (addition is mod 2), the survivors are
-    sorted and deduplicated.  Instances are treated as immutable.
+    Construction canonicalizes all rows in one pass: entries appearing
+    an even number of times in a row cancel (addition is mod 2), the
+    survivors are sorted and deduplicated.  Instances are immutable.
     """
 
     __slots__ = ("rows", "cols", "row_support", "_packed", "_tanner")
@@ -54,25 +54,36 @@ class SparseBinaryMatrix:
     def __init__(self, rows: int, cols: int, row_support) -> None:
         if rows < 0 or cols < 0:
             raise ValueError(f"negative dimensions ({rows}, {cols})")
-        support = list(row_support)
+        support = [np.asarray(sup).ravel() for sup in row_support]
         if len(support) != rows:
             raise ValueError(f"expected {rows} rows of support, got {len(support)}")
-        canon = []
-        for r, sup in enumerate(support):
-            idx = np.asarray(sup, dtype=np.int64).ravel()
-            if idx.size and (idx.min() < 0 or idx.max() >= cols):
-                raise ValueError(f"row {r}: column index out of range [0, {cols})")
-            vals, counts = np.unique(idx, return_counts=True)
-            canon.append(np.ascontiguousarray(vals[counts % 2 == 1], dtype=np.int64))
+        if rows * cols > np.iinfo(np.int64).max:
+            raise ValueError(f"{rows} x {cols} entries do not fit int64 keys")
+        lengths = np.fromiter(map(len, support), dtype=np.int64, count=rows)
+        flat = np.concatenate([np.empty(0, np.int64), *support])
+        fractional = np.floor(flat) != flat
+        bad = fractional | (flat < 0) | (flat >= cols)
+        if bad.any():
+            r = int(np.searchsorted(np.cumsum(lengths), np.argmax(bad), side="right"))
+            what = "is not an integer" if fractional[bad][0] else f"out of range [0, {cols})"
+            raise ValueError(f"row {r}: column index {what}")
+        # One key per entry, in row-major order; a key seen an odd number of times stays.
+        row_base = np.arange(rows, dtype=np.int64) * cols
+        keys, counts = np.unique(np.repeat(row_base, lengths) + flat.astype(np.int64),
+                                 return_counts=True)
+        keys = keys[counts % 2 == 1]
+        bounds = [0, *np.searchsorted(keys, row_base + cols).tolist()]
+        canon = keys % cols  # empty when cols == 0
         self.rows = rows
         self.cols = cols
-        self.row_support = tuple(canon)
+        self.row_support = tuple(canon[a:b] for a, b in zip(bounds, bounds[1:]))
         self._packed = None
         self._tanner = None
 
     @classmethod
     def from_dense(cls, a) -> "SparseBinaryMatrix":
-        a = np.asarray(a, dtype=np.uint8) % 2
+        # A fraction stays a fraction mod 2, so as_bits rejects it.
+        a = as_bits("dense input mod 2", np.asarray(a) % 2, np.shape(a))
         if a.ndim != 2:
             raise ValueError("dense input must be 2-D")
         return cls(a.shape[0], a.shape[1], [np.flatnonzero(row) for row in a])
@@ -84,28 +95,21 @@ class SparseBinaryMatrix:
         return out
 
     def row_weights(self) -> np.ndarray:
-        return np.array([sup.size for sup in self.row_support], dtype=np.int64)
+        return np.fromiter(map(len, self.row_support), dtype=np.int64, count=self.rows)
 
     def col_weights(self) -> np.ndarray:
-        w = np.zeros(self.cols, dtype=np.int64)
-        for sup in self.row_support:
-            w[sup] += 1
-        return w
+        flat = np.concatenate([np.empty(0, np.int64), *self.row_support])
+        return np.bincount(flat, minlength=self.cols)
 
     @property
     def nnz(self) -> int:
-        return int(sum(sup.size for sup in self.row_support))
+        return int(self.row_weights().sum())
 
     def packed_rows(self) -> list[int]:
         """Rows as Python ints (bit c = entry in column c); cached."""
         if self._packed is None:
-            packed = []
-            for sup in self.row_support:
-                x = 0
-                for c in sup:
-                    x |= 1 << int(c)
-                packed.append(x)
-            self._packed = packed
+            # Columns within a row are distinct, so summing the bits ORs them.
+            self._packed = [sum(1 << c for c in sup.tolist()) for sup in self.row_support]
         return self._packed
 
     def tanner_graph(self) -> "TannerGraph":

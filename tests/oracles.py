@@ -1,11 +1,12 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here deliberately avoids the library's packed-int
-elimination, Tanner-graph gathers and BFS code paths: products come
-from dense numpy matmul, ranks from dense numpy elimination, row-space
-membership from exhaustive enumeration, and short cycles from explicit
-pattern search, so the two sides of each comparison share no
-implementation.
+elimination, Tanner-graph gathers, one-pass row canonicalization and
+BFS code paths: products come from dense numpy matmul, ranks from dense
+numpy elimination, row-space membership from exhaustive enumeration,
+canonical rows from one np.unique per row, circulant expansions from
+rolled identities, and short cycles from explicit pattern search, so
+the two sides of each comparison share no implementation.
 """
 
 from __future__ import annotations
@@ -23,6 +24,60 @@ def mul_mod2(A, B) -> np.ndarray:
     """
     prod = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
     return (prod.astype(np.int64) % 2).astype(np.uint8)
+
+
+def canonical_rows(rows: int, cols: int, row_support) -> tuple[np.ndarray, ...]:
+    """Each row's support reduced mod 2, one np.unique per row.
+
+    Raises the ValueError SparseBinaryMatrix raises for the first
+    fractional or out-of-range column index, naming its row.
+    """
+    support = list(row_support)
+    if len(support) != rows:
+        raise ValueError(f"expected {rows} rows of support, got {len(support)}")
+    canon = []
+    for r, sup in enumerate(support):
+        idx = np.asarray(sup).ravel()
+        for c in idx.tolist():
+            if np.floor(c) != c:
+                raise ValueError(f"row {r}: column index is not an integer")
+            if not 0 <= c < cols:
+                raise ValueError(f"row {r}: column index out of range [0, {cols})")
+        vals, counts = np.unique(idx.astype(np.int64), return_counts=True)
+        canon.append(vals[counts % 2 == 1])
+    return tuple(canon)
+
+
+def dense_from_support(rows: int, cols: int, row_support) -> np.ndarray:
+    """Dense 0/1 matrix toggling entry (r, c) once per occurrence of c in row r."""
+    out = np.zeros((rows, cols), dtype=np.uint8)
+    for r, sup in enumerate(row_support):
+        for c in np.asarray(sup).ravel().tolist():
+            out[r, int(c)] ^= 1
+    return out
+
+
+def packed_row(row: np.ndarray) -> int:
+    """A dense 0/1 row as a Python int with bit c = row[c], via its binary string."""
+    return int("".join(str(int(b)) for b in row[::-1]) or "0", 2)
+
+
+def expand_dense(entries, P: int) -> np.ndarray:
+    """The J x L block matrix of P x P circulants: block row i has its 1 at (i + shift) mod P."""
+    eye = np.eye(P, dtype=np.uint8)
+    return np.block([[np.roll(eye, shift, axis=1) for shift in row] for row in entries])
+
+
+def dense_tanner_arrays(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(check_vars, var_edges) of a regular dense matrix.
+
+    Edges are H's ones numbered in row-major order; var_edges lists each
+    column's edges top to bottom.
+    """
+    check_vars = np.nonzero(H)[1].reshape(H.shape[0], -1)
+    edge = np.cumsum(H, dtype=np.int32).reshape(H.shape) - 1
+    var_edges = edge.T[H.T == 1].reshape(H.shape[1], -1)
+    return check_vars, var_edges
 
 
 def dense_echelon(M: np.ndarray) -> tuple[np.ndarray, list[int]]:

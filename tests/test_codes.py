@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GIRTH6_P
-from oracles import dense_rank, mul_mod2
+from oracles import dense_rank, dense_tanner_arrays, expand_dense, mul_mod2
 from qcldpc.codes import (
     CodeValidationError,
     _check_orthogonal,
@@ -185,6 +185,17 @@ def test_exponent_orthogonality_check_matches_product(pair, P):
     if bad is not None:
         with pytest.raises(CodeValidationError, match=f"block \\({bad[0]}, {bad[1]}\\)"):
             build_code(pair, P)
+
+
+@pytest.mark.parametrize("P", [2, 3, 5, 25, 400])
+def test_built_tanner_graphs_match_dense_expansion(pair, P):
+    code = build_code(pair, P)
+    for em, h in zip(pair, (code.h_x, code.h_z)):
+        dense = expand_dense(em.entries, P)
+        check_vars, var_edges = dense_tanner_arrays(dense)
+        graph = h.tanner_graph()
+        assert np.array_equal(graph.check_vars, check_vars)
+        assert np.array_equal(graph.var_edges, var_edges)
 
 
 def test_expansion_commutes_with_entry_reduction(pair):

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rank, has_four_cycle, mul_mod2, row_space_set, short_cycle_girth
+from oracles import (
+    canonical_rows,
+    dense_from_support,
+    dense_rank,
+    has_four_cycle,
+    mul_mod2,
+    packed_row,
+    row_space_set,
+    short_cycle_girth,
+)
 from qcldpc.codes import ExponentMatrix, expand_exponent_matrix
 from qcldpc.gf2 import RowSpace, SparseBinaryMatrix, girth, pack_bits
 
@@ -274,6 +283,82 @@ def test_construction_rejects_out_of_range():
         SparseBinaryMatrix(1, 3, [[3]])
     with pytest.raises(ValueError):
         SparseBinaryMatrix(1, 3, [[-1]])
+
+
+@pytest.mark.parametrize("support", [[[0], [1.5]], [[0], [0.9, 2.2]], [[1], [np.nan]]])
+def test_construction_rejects_fractional_indices(support):
+    # A cast to int would read 1.5 as column 1, and 0.9, 2.2 as columns 0 and 2.
+    with pytest.raises(ValueError, match="row 1: column index is not an integer"):
+        SparseBinaryMatrix(2, 3, support)
+
+
+def test_construction_accepts_integral_floats():
+    m = SparseBinaryMatrix(2, 3, [[2.0, 0.0, 2.0], []])
+    assert [sup.tolist() for sup in m.row_support] == [[0], []]
+
+
+def test_construction_rejects_keys_that_overflow_int64():
+    with pytest.raises(ValueError, match="do not fit int64"):
+        SparseBinaryMatrix(2, 2**62, [[0], [2**62 - 1]])
+
+
+@st.composite
+def ragged_supports(draw):
+    """Rows of column indices in any order, each column repeated 1 to 4 times."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    columns = st.integers(0, cols - 1) if cols else st.nothing()
+    support = []
+    for _ in range(rows):
+        counts = draw(st.dictionaries(columns, st.integers(1, 4), max_size=cols))
+        row = draw(st.permutations([c for c, k in counts.items() for _ in range(k)]))
+        support.append(np.array(row, dtype=np.int32) if draw(st.booleans()) else row)
+    return rows, cols, support
+
+
+@given(ragged_supports())
+@settings(max_examples=200)
+def test_construction_matches_per_row_oracle(case):
+    rows, cols, support = case
+    m = SparseBinaryMatrix(rows, cols, support)
+    want = canonical_rows(rows, cols, support)
+    assert len(m.row_support) == rows
+    for got, ref in zip(m.row_support, want):
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+    dense = dense_from_support(rows, cols, support)
+    assert np.array_equal(m.to_dense(), dense)
+    assert np.array_equal(m.row_weights(), dense.sum(axis=1))
+    assert np.array_equal(m.col_weights(), dense.sum(axis=0))
+    assert m.nnz == int(dense.sum())
+    assert m.packed_rows() == [packed_row(row) for row in dense]
+
+
+@given(ragged_supports(), st.data())
+@settings(max_examples=200)
+def test_construction_names_the_oracles_first_bad_row(case, data):
+    rows, cols, support = case
+    assume(rows > 0)
+    bad = st.sampled_from([-1, -7, cols, cols + 3, 0.5, -0.5, cols - 0.25])
+    for r in data.draw(st.sets(st.integers(0, rows - 1), min_size=1)):
+        row = list(support[r])
+        row.insert(data.draw(st.integers(0, len(row))), data.draw(bad))
+        support[r] = row
+    with pytest.raises(ValueError) as want:
+        canonical_rows(rows, cols, support)
+    with pytest.raises(ValueError) as got:
+        SparseBinaryMatrix(rows, cols, support)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("dense", [[[2, 0.5, 1]], [[-1.0, 1.5]]])
+def test_from_dense_rejects_fractional_entries(dense):
+    # A cast to uint8 before the mod 2 would read 0.5 as 0 and 1.5 as 1.
+    with pytest.raises(ValueError, match="dense input mod 2 must hold only 0 and 1"):
+        SparseBinaryMatrix.from_dense(dense)
+
+
+def test_from_dense_takes_integers_mod_2():
+    for dense in ([[2, -1, 3, 0]], [[2.0, -1.0, 3.0, 0.0]]):
+        assert SparseBinaryMatrix.from_dense(dense).row_support[0].tolist() == [1, 2]
 
 
 def test_row_support_strictly_increasing():
