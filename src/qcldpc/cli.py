@@ -31,6 +31,7 @@ from .codes import (
     code_report,
     design_rate,
     load_pair,
+    measured_rate,
     scan_p,
 )
 from .decoder import DecoderConfig
@@ -222,6 +223,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
+    # Before run_sweep forks its pool, so that the workers inherit both row spaces.
+    measured = measured_rate(code)
 
     results = run_sweep(
         code,
@@ -251,6 +254,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     manifest = {
         "tool": "qcldpc",
         "version": __version__,
+        "design_rate": str(rate),
+        "design_hashing_bound_p_d": bound,
+        "measured_rate": str(measured),
+        "hashing_bound_p_d": hashing_bound_threshold(measured),
         "config": cfg,
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),

@@ -9,13 +9,17 @@ set) is a diagnostic recorded on failures only and drives the BER.
 
 Trials are independent work items: per-trial randomness is keyed by
 (seed, point index, trial index), and each record is folded, in trial
-order as it arrives, into counts, a weight histogram and the first
-logged failures, so a point's memory does not grow with its trials.
-Trials run in 25-trial chunks, on one process pool per sweep or, with
-one worker, in process; a chunk is sampled, decoded as one BP batch and
-judged as arrays.  Pool workers skip the chunks of a stopped point, and a
-chunk still decoding when its point stops is abandoned within one BP
-iteration.
+order, into counts, a weight histogram and the first logged failures, so
+a point's memory does not grow with its trials.  Trials run in 25-trial
+chunks, on one process pool per sweep or, with one worker, in process; a
+chunk is sampled, decoded as one BP batch and judged as arrays.
+On a pool each worker runs one lane for the whole sweep: it claims chunks
+from counters shared with the parent, staying on its point until that is
+done or has no chunk left within 2 x workers chunks of the point's fold
+head, then moving to a point no lane is on, or else the first with chunks
+left.  The parent folds every point's chunks as they arrive and marks a
+point done as soon as its rule fires; lanes then claim none of its chunks,
+and one still decoding is abandoned within one BP iteration.
 The stopping rule (first of: F frame errors, T trials) cuts the ordered
 stream, so a point is bit-identical for any worker count and chunk size.
 """
@@ -26,11 +30,9 @@ import json
 import math
 import multiprocessing
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from itertools import count as counter, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 # Trials per work item and BP batch.  Keyed trials fold in order, so it sets only
-# scheduling and the batch size.  Pooled chunks of a stopped point are abandoned
+# scheduling and the batch size.  Pooled chunks of a done point are abandoned
 # mid-decode; in process, a point's last chunk runs to its end.
 _CHUNK = 25
 _LOG2_3 = math.log2(3.0)
@@ -192,43 +194,198 @@ def _run_trials(
     ]
 
 
-# (code, decoder, stopped) of a pool worker, built once by _init_worker rather than per chunk.
-_worker: tuple[QuantumQcCode, JointBpDecoder, multiprocessing.Value] | None = None
-_tokens = counter(1)  # one per pooled run_point, so a pool's points are told apart
+def _summary(records: Sequence[TrialRecord]) -> tuple[list[int], list[TrialRecord]]:
+    """What a fold takes of a chunk's records: every trial's BP iteration
+    count and the records of the failed trials (pooled, far less to pickle)."""
+    return [r.iterations for r in records], [r for r in records if not r.success]
 
 
-def _init_worker(code: QuantumQcCode, cfg: DecoderConfig, stopped) -> None:
+class _Fold:
+    """A point's counts, folded from its chunks in trial order."""
+
+    def __init__(self, stop: StopRule, max_logged_failures: int):
+        self.stop, self.max_logged_failures = stop, max_logged_failures
+        self.trials = self.iterations = self.frame_errors = 0
+        self.histogram: dict[int, int] = {}
+        self.failures: list[TrialRecord] = []
+
+    @property
+    def done(self) -> bool:
+        return (self.frame_errors >= self.stop.min_frame_errors
+                or self.trials >= self.stop.max_trials)
+
+    def add(self, iterations: Sequence[int], failures: Iterable[TrialRecord]) -> None:
+        """Fold the next len(iterations) trials, from each one's BP iteration
+        count and the records of those that failed, in trial order, up to
+        the trial at which the rule fires."""
+        count = len(iterations)
+        for rec in failures:
+            self.frame_errors += 1
+            self.histogram[rec.bit_errors] = self.histogram.get(rec.bit_errors, 0) + 1
+            if len(self.failures) < self.max_logged_failures:
+                self.failures.append(rec)
+            if self.frame_errors >= self.stop.min_frame_errors:
+                count = rec.trial_index + 1 - self.trials
+                break
+        self.iterations += sum(iterations[:count])
+        self.trials += count
+
+    def result(self, p_d: float, n: int) -> PointResult:
+        return PointResult(p_d, n, self.trials, self.iterations, self.histogram,
+                           tuple(self.failures))
+
+
+class _Board:
+    """What a pool's lanes share, created before the pool forks.
+
+    `points` holds the sweep's (point_index, p_d) pairs, one slot each.
+    Per slot, `claimed` counts the chunks handed out and `on` the lanes
+    on it, both changed under `lock` by the lanes; `head` (chunks folded)
+    and `done` are written by the parent only.  The lanes send each
+    chunk's _summary on `queue` and wait on `wake`, which the parent
+    releases once per chunk it receives.
+    """
+
+    def __init__(self, points: Sequence[tuple[int, float]], seed: int, max_trials: int,
+                 workers: int):
+        self.points, self.seed, self.max_trials = tuple(points), seed, max_trials
+        self.chunk = _CHUNK
+        self.chunks = -(-max_trials // _CHUNK)
+        self.window = 2 * workers  # chunks a point may have claimed past its fold head
+        self.claimed, self.on, self.head, self.done = (
+            multiprocessing.RawArray("q", len(self.points)) for _ in range(4))
+        self.lock = multiprocessing.Lock()
+        self.wake = multiprocessing.Semaphore(0)
+        self.queue = multiprocessing.SimpleQueue()
+
+    def claim(self, k: int) -> tuple[int, int] | None:
+        """The next (slot, chunk) for a lane on slot k (-1 for none).
+
+        The lane stays on k while it has a chunk within its window, else
+        moves to a slot no lane is on, else to the first with one.  Slot
+        -1 means every slot with chunks left has its window full; None
+        means no slot has chunks left.
+        """
+        claimed, on, head, done = self.claimed, self.on, self.head, self.done
+        with self.lock:
+            if k >= 0:
+                on[k] -= 1
+            left = [j for j in range(len(self.points)) if claimed[j] < self.chunks and not done[j]]
+            if not left:
+                return None
+            free = [j for j in left if claimed[j] < head[j] + self.window]
+            if not free:
+                return -1, 0
+            j = k if k in free else next((j for j in free if not on[j]), free[0])
+            on[j] += 1
+            claimed[j] += 1
+            return j, claimed[j] - 1
+
+
+# (code, decoder, board) of a pool worker, built once by _init_worker rather than per chunk.
+_worker: tuple[QuantumQcCode, JointBpDecoder, _Board] | None = None
+
+
+def _init_worker(code: QuantumQcCode, cfg: DecoderConfig, board: _Board) -> None:
     global _worker
-    _worker = (code, JointBpDecoder.for_code(code, cfg), stopped)
+    _worker = (code, JointBpDecoder.for_code(code, cfg), board)
+
+
+def _lane() -> None:
+    """A pool worker's one task: decode claimed chunks and send their records
+    until no point has chunks left.  A chunk whose point is done before it
+    is sent, or while it decodes, is dropped."""
+    code, decoder, board = _worker
+    done, k = board.done, -1
+    while (claim := board.claim(k)) is not None:
+        k, c = claim
+        if k < 0:
+            board.wake.acquire()
+            continue
+        point_index, p_d = board.points[k]
+        start = c * board.chunk
+        records = _run_trials(code, decoder, p_d, board.seed, point_index, start,
+                              min(board.chunk, board.max_trials - start), lambda: done[k])
+        if records and not done[k]:
+            board.queue.put((k, c, *_summary(records)))
+
+
+class _Lanes:
+    """The parent's side of a pool's lanes: a fold for every point of the
+    sweep, fed with each chunk as it arrives, whichever point it is for."""
+
+    def __init__(self, board: _Board, stop: StopRule, max_logged_failures: int):
+        self.board = board
+        self.folds = [_Fold(stop, max_logged_failures) for _ in board.points]
+        self.arrived: list[dict[int, list]] = [{} for _ in board.points]
+        self.futures = []
+        self.exited = 0  # lanes whose future has finished
+
+    def fold(self, point_index: int) -> _Fold:
+        """The point's fold, once done; folds every point's chunks meanwhile."""
+        fold = self.folds[[key for key, _ in self.board.points].index(point_index)]
+        while not fold.done:
+            self._receive()
+        return fold
+
+    def _receive(self) -> None:
+        board = self.board
+        msg = board.queue.get()
+        if msg is None:  # a lane has exited: raise its error, if any
+            self.exited += 1
+            for fut in self.futures:
+                if fut.done():
+                    fut.result()
+            if self.exited == len(self.futures):
+                raise RuntimeError("every lane exited before the sweep's points were done")
+            return
+        k, c, *summary = msg
+        fold, arrived = self.folds[k], self.arrived[k]
+        arrived[c] = summary
+        while not fold.done and board.head[k] in arrived:
+            fold.add(*arrived.pop(board.head[k]))
+            board.head[k] += 1
+        if fold.done:
+            board.done[k] = 1
+            arrived.clear()
+        board.wake.release()
+
+    def close(self) -> None:
+        """Stop every lane and read the queue until all have exited, so
+        that none is left blocked on a full pipe."""
+        board = self.board
+        board.done[:] = [1] * len(board.points)
+        for _ in self.futures:
+            board.wake.release()
+        while self.exited < len(self.futures):
+            if board.queue.get() is None:
+                self.exited += 1
 
 
 @contextmanager
-def _pool(code: QuantumQcCode, cfg: DecoderConfig, workers: int):
-    """A worker pool for `code`, shut down on any exit.
+def _pool(code: QuantumQcCode, cfg: DecoderConfig, workers: int, stop: StopRule, seed: int,
+          points: Sequence[tuple[int, float]], max_logged_failures: int):
+    """A worker pool with one lane per worker over `points`, (point_index,
+    p_d) pairs; yields their _Lanes, and stops and shuts them down on any exit.
 
-    Each run_point cancels its own queued chunks and writes its token to
-    `pool.stopped`, so the workers skip the chunks already handed to them
-    and abandon those they are decoding.
+    Each lane's future puts None on the queue when it finishes, so a
+    parent waiting on the queue wakes when a lane fails or its worker dies.
     `cancel_futures=True` is not used: on CPython 3.11 it deadlocks the
-    shutdown when a chunk has failed to pickle.
+    shutdown when a task has failed to pickle.
     """
-    stopped = multiprocessing.Value("q", 0)  # token of the pool's last stopped point
-    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(code, cfg, stopped))
-    pool.stopped = stopped
+    board = _Board(points, seed, stop.max_trials, workers)
+    lanes = _Lanes(board, stop, max_logged_failures)
+    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(code, cfg, board))
     try:
-        yield pool
+        for _ in range(workers):
+            lanes.futures.append(fut := pool.submit(_lane))
+            fut.add_done_callback(lambda _: board.queue.put(None))
+        yield lanes
     finally:
+        lanes.close()
         pool.shutdown()
-
-
-def _run_chunk(
-    token: int, p_d: float, seed: int, point_index: int, start: int, count: int
-) -> list[TrialRecord]:
-    code, decoder, stopped = _worker
-    if stopped.value == token:  # its point has stopped folding
-        return []
-    return _run_trials(code, decoder, p_d, seed, point_index, start, count,
-                       lambda: stopped.value == token)
+    for fut in lanes.futures:
+        fut.result()
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -261,7 +418,7 @@ def run_point(
     point_index: int = 0,
     max_logged_failures: int = 1000,
     *,
-    pool: ProcessPoolExecutor | None = None,
+    pool: _Lanes | None = None,
 ) -> PointResult:
     """Monte Carlo estimate of FER/BER at one physical error rate.
 
@@ -271,8 +428,11 @@ def run_point(
     stopping rule cuts the stream at the same trial for any worker count:
     results are bit-identical for a fixed (code, p_d, stop, seed, cfg).
     max_logged_failures caps `failures` only; every count covers all trials.
-    `pool`, one from _pool for this code and cfg, is used and left open
-    (run_sweep passes one per sweep); without it the point opens its own.
+    `pool`, the lanes _pool opened for a sweep that holds this point (with
+    this code, cfg, stop, seed and cap), is used and left open; run_sweep
+    passes it, and the call returns once this point is done, having folded
+    the chunks of every point that arrived meanwhile.  Without it, the
+    point opens its own.
     """
     if not 0.0 <= p_d < 1.0:
         raise ValueError(f"p_d must be in [0, 1), got {p_d}")
@@ -280,49 +440,19 @@ def run_point(
     if max_logged_failures < 0:
         raise ValueError(f"max_logged_failures must be >= 0, got {max_logged_failures}")
     cfg = cfg or DecoderConfig()
-    trials = iterations = frame_errors = 0
-    histogram: dict[int, int] = {}
-    failures: list[TrialRecord] = []
-
-    def consume(records: Iterable[TrialRecord]) -> bool:
-        """Fold records in trial order; stops drawing (and returns True) once the rule fires."""
-        nonlocal trials, iterations, frame_errors
-        for rec in records:
-            trials += 1
-            iterations += rec.iterations
-            if not rec.success:
-                frame_errors += 1
-                histogram[rec.bit_errors] = histogram.get(rec.bit_errors, 0) + 1
-                if len(failures) < max_logged_failures:
-                    failures.append(rec)
-                if frame_errors >= stop.min_frame_errors:
-                    return True
-        return False
-
-    chunks = (  # (start, count), lazily and in trial order
-        (t, min(_CHUNK, stop.max_trials - t)) for t in range(0, stop.max_trials, _CHUNK)
-    )
     if pool is None and workers == 1:
+        fold = _Fold(stop, max_logged_failures)
         decoder = JointBpDecoder.for_code(code, cfg)
-        consume(
-            rec
-            for chunk in chunks
-            for rec in _run_trials(code, decoder, p_d, seed, point_index, *chunk)
-        )
+        while not fold.done:  # a fold that is not done has taken every trial so far
+            count = min(_CHUNK, stop.max_trials - fold.trials)
+            records = _run_trials(code, decoder, p_d, seed, point_index, fold.trials, count)
+            fold.add(*_summary(records))
     else:
-        with nullcontext(pool) if pool is not None else _pool(code, cfg, workers) as pool:
-            token = next(_tokens)
-            futures = (pool.submit(_run_chunk, token, p_d, seed, point_index, *c) for c in chunks)
-            pending = deque()
-            try:
-                pending.extend(islice(futures, 2 * workers))  # keeps workers busy while one folds
-                while pending and not consume(pending.popleft().result()):
-                    pending.extend(islice(futures, 1))
-            finally:  # the rule fired or a chunk failed: drop this point's queued chunks
-                for fut in pending:
-                    fut.cancel()
-                pool.stopped.value = token  # and have the workers drop those already sent
-    return PointResult(p_d, code.n, trials, iterations, histogram, tuple(failures))
+        with nullcontext(pool) if pool is not None else _pool(
+            code, cfg, workers, stop, seed, [(point_index, p_d)], max_logged_failures
+        ) as lanes:
+            fold = lanes.fold(point_index)
+    return fold.result(p_d, code.n)
 
 
 def run_sweep(
@@ -337,30 +467,37 @@ def run_sweep(
     """One :func:`run_point` per grid value, monotone grid required.
 
     Each point gets an independent random stream via its grid index.
-    With workers > 1 all points share one process pool, so its workers
-    build their decoder once per sweep; it is shut down on any exit.
+    Every grid value is checked before any trial runs.  With workers > 1
+    all points share one process pool, whose workers build their decoder
+    once per sweep and run one lane each, across the points; the pool is
+    shut down on any exit.
     """
     if len(p_grid) == 0:
         raise ValueError("p_grid must be non-empty")
+    for p in p_grid:
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"p_d must be in [0, 1), got {p}")
     diffs = np.diff(np.asarray(p_grid, dtype=float))
     if len(p_grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("p_grid must be strictly increasing or decreasing")
     cfg = cfg or DecoderConfig()
     workers = _check_workers(workers)
-    with _pool(code, cfg, workers) if workers > 1 else nullcontext() as pool:
+    points = [(i, float(p)) for i, p in enumerate(p_grid)]
+    with (_pool(code, cfg, workers, stop, seed, points, max_logged_failures) if workers > 1
+          else nullcontext()) as lanes:
         return [
             run_point(
                 code,
-                float(p),
+                p,
                 stop,
                 seed,
                 cfg,
                 workers=workers,
                 point_index=i,
                 max_logged_failures=max_logged_failures,
-                pool=pool,
+                pool=lanes,
             )
-            for i, p in enumerate(p_grid)
+            for i, p in points
         ]
 
 

@@ -130,6 +130,12 @@ def test_simulate_grid_rows_and_manifest(tmp_path, capsys):
     assert manifest["tool"] == "qcldpc"
     assert manifest["config"]["seed"] == 42
     assert manifest["config"]["p_grid"] == [0.3, 0.25, 0.2]
+    # Both rates at P = 5: the design rate 1 - 6/8 and the measured 1 - 26/40.
+    assert (manifest["design_rate"], manifest["measured_rate"]) == ("1/4", "7/20")
+    assert manifest["design_hashing_bound_p_d"] == qcldpc.hashing_bound_threshold(0.25)
+    assert manifest["hashing_bound_p_d"] == qcldpc.hashing_bound_threshold(0.35)
+    assert manifest["hashing_bound_p_d"] < manifest["design_hashing_bound_p_d"]
+    assert csv_text.splitlines()[0] == "# design_rate=1/4 hashing_bound_p_d=0.126899"
     assert (out_dir / "failures.jsonl").exists()
 
 

@@ -4,9 +4,9 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -239,17 +239,50 @@ def test_run_sweep_shares_one_pool_across_points(code5, counting_pool):
     assert sweep[0].trials < 50 and sweep[0].frame_errors == 5
 
 
-def test_run_sweep_shuts_pool_down_when_a_point_fails(code5, counting_pool):
-    with pytest.raises(ValueError, match="p_d"):
-        run_sweep(code5, [0.1, 0.5, 1.0], StopRule(1, 30), seed=0, workers=2)
+def test_run_sweep_shuts_pool_down_when_a_point_fails(code5, counting_pool, monkeypatch):
+    # One chunk raises in a worker; the pool still shuts down with every lane finished.
+    real = sim._run_trials
+
+    def fails_once(code, decoder, p_d, seed, point_index, start, *args):
+        if (point_index, start) == (1, 25):
+            raise ValueError("chunk failed")
+        return real(code, decoder, p_d, seed, point_index, start, *args)
+
+    monkeypatch.setattr(sim, "_run_trials", fails_once)  # before the fork, so workers see it
+    with pytest.raises(ValueError, match="chunk failed"):
+        run_sweep(code5, [0.1, 0.05, 0.02], StopRule(1000, 300), seed=0, workers=2)
     assert counting_pool == ["open", ("shutdown", False), ("pending", 0)]
 
 
-_UNPICKLABLE_CHUNK = """
+def test_run_sweep_rejects_a_bad_grid_before_opening_a_pool(code5, counting_pool):
+    # Points 0 and 1 used to be decoded before point 2 raised.
+    with pytest.raises(ValueError, match="p_d"):
+        run_sweep(code5, [0.1, 0.5, 1.0], StopRule(1, 30), seed=0, workers=2)
+    assert counting_pool == []
+
+
+def _run_script(script, what):
+    """Run `script` in a new session with qcldpc importable; kill its whole
+    process group if it has not finished within 60 s.  Returns its stdout."""
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"the sweep hung after {what}")
+    assert proc.returncode == 0
+    return out.strip()
+
+
+_UNPICKLABLE_LANE = """
 import pickle
 from qcldpc import build_code, builtin_pair_j3_l8, sim
-real = sim._run_chunk
-sim._run_chunk = lambda *args: real(*args)  # pickle cannot find a lambda by name
+real = sim._lane
+sim._lane = lambda: real()  # pickle cannot find a lambda by name
 try:
     sim.run_point(build_code(builtin_pair_j3_l8(), 5), 0.05, sim.StopRule(5, 100), 1, workers=2)
 except pickle.PicklingError:
@@ -258,19 +291,57 @@ except pickle.PicklingError:
 
 
 def test_run_point_raises_when_a_chunk_fails_to_pickle():
-    # Shutting down with cancel_futures=True after such a failure used to
-    # hang forever on CPython 3.11, with both workers left running.
-    src = str(Path(sim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.Popen([sys.executable, "-c", _UNPICKLABLE_CHUNK], env=env,
-                            stdout=subprocess.PIPE, text=True, start_new_session=True)
-    try:
-        out, _ = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("run_point hung after a chunk failed to pickle")
-    assert proc.returncode == 0 and out.strip() == "PicklingError"
+    # The work sent to the pool is the lane task.  Shutting down with
+    # cancel_futures=True after such a failure used to hang forever on
+    # CPython 3.11, with both workers left running.
+    assert _run_script(_UNPICKLABLE_LANE, "a lane failed to pickle") == "PicklingError"
+
+
+_KILLED_WORKER = """
+import multiprocessing, os, signal
+from concurrent.futures.process import BrokenProcessPool
+from qcldpc import build_code, builtin_pair_j3_l8, sim
+real = sim._run_trials
+
+def dies(code, decoder, p_d, seed, point_index, start, *args):
+    if (point_index, start) == (1, 50):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(code, decoder, p_d, seed, point_index, start, *args)
+
+sim._run_trials = dies
+try:
+    sim.run_sweep(build_code(builtin_pair_j3_l8(), 5), [0.1, 0.05, 0.02],
+                  sim.StopRule(1000, 500), 1, workers=2)
+except BrokenProcessPool:
+    print("BrokenProcessPool", len(multiprocessing.active_children()))
+"""
+
+
+def test_run_sweep_raises_when_a_worker_dies():
+    # The other lane may be decoding or waiting on a lock its dead peer held;
+    # the sweep must raise, not hang, and leave no worker running.
+    assert _run_script(_KILLED_WORKER, "a worker died") == "BrokenProcessPool 0"
+
+
+_LARGE_MESSAGES = """
+from qcldpc import build_code, builtin_pair_j3_l8, sim
+
+def run(code, decoder, p_d, seed, point_index, start, count, stopped=None):
+    # Failures with long supports: each chunk's message (about 150 kB) fills the pipe.
+    return [sim.TrialRecord(t, False, False, 1, 1, 0, 1, tuple([0] * 3000))
+            for t in range(start, start + count)]
+
+sim._run_trials = run
+res, = sim.run_sweep(build_code(builtin_pair_j3_l8(), 5), [0.1], sim.StopRule(100, 10**6), 1,
+                     workers=2, max_logged_failures=0)
+print(res.trials, res.frame_errors)
+"""
+
+
+def test_run_sweep_reads_the_lanes_last_messages_before_it_shuts_down():
+    # When the point stops, the other lane is sending a message too large
+    # for the pipe; unless the parent reads it, that lane never exits.
+    assert _run_script(_LARGE_MESSAGES, "its point stopped") == "100 100"
 
 
 # ---------------------------------------------------------------------------
@@ -351,50 +422,80 @@ def test_run_trials_judges_degenerate_residuals_as_successes():
     assert any(r.success and r.residual_weight_x == code.L for r in got)
 
 
-def test_run_chunk_skips_the_chunks_of_a_stopped_point(code5, monkeypatch):
-    monkeypatch.setattr(sim, "_worker", None)
-    stopped = multiprocessing.Value("q", 0)
-    sim._init_worker(code5, DecoderConfig(), stopped)
-    stopped.value = 7  # the point that holds token 7 has stopped folding
-    assert sim._run_chunk(7, 0.1, 3, 0, 0, 25) == []
-    want = sim._run_trials(code5, JointBpDecoder.for_code(code5), 0.1, 3, 0, 0, 25)
-    assert sim._run_chunk(8, 0.1, 3, 0, 0, 25) == want and len(want) == 25
+def test_board_never_claims_a_done_points_chunks():
+    # Two lanes, a and b, over three points of four chunks, window 2.
+    board = sim._Board([(0, 0.1), (1, 0.1), (2, 0.1)], seed=0, max_trials=100, workers=1)
+    assert (board.chunks, board.window) == (4, 2)
+    assert board.claim(-1) == (0, 0)  # a: the first point
+    assert board.claim(-1) == (1, 0)  # b: a point no lane is on
+    board.done[0] = 1
+    assert board.claim(0) == (2, 0)  # a: off the done point, to the one no lane is on
+    assert board.claim(1) == (1, 1)  # b: stays on its point
+    assert board.claim(1) == (2, 1)  # b: its window full, the first point with a chunk left
+    board.head[1] = 1
+    assert board.claim(2) == (1, 2)  # b: point 2's window full, point 1's has room again
+    assert board.claim(2) == (-1, 0)  # a: every window full, so it waits
+    board.done[1] = board.done[2] = 1
+    assert board.claim(-1) is None  # a: nothing left, so it exits
+    assert list(board.claimed) == [1, 3, 2] and list(board.on) == [0, 1, 0]
 
 
-class _StopsAfter:
-    """Stands in for a pool's shared `stopped` value: reads 0 for its first
-    `reads` reads and `token` after them, and counts its reads."""
+class _DoneAfter:
+    """Stands in for a board's done flags: reads 0 for the first `reads`
+    reads and 1 after them, and counts its reads."""
 
-    def __init__(self, token, reads):
-        self.token, self.left, self.reads = token, reads, 0
+    def __init__(self, reads):
+        self.left, self.reads = reads, 0
 
-    @property
-    def value(self):
+    def __getitem__(self, k):
         self.reads += 1
-        return self.token if self.reads > self.left else 0
+        return int(self.reads > self.left)
 
 
-def test_run_chunk_abandons_a_chunk_whose_point_stops_while_it_decodes(code5, monkeypatch):
+def test_lane_abandons_a_chunk_whose_point_is_done_while_it_decodes(code5, monkeypatch):
     monkeypatch.setattr(sim, "_worker", None)
-    stopped = _StopsAfter(7, reads=3)  # the skip check, then two BP rounds
-    sim._init_worker(code5, DecoderConfig(), stopped)
-    assert sim._run_chunk(7, 0.3, 3, 0, 0, 25) == []
-    assert stopped.reads == 4
-    # Unstopped, the same chunk runs to the iteration cap.
+    board = sim._Board([(0, 0.3)], seed=3, max_trials=25, workers=2)
+    board.done = _DoneAfter(reads=3)  # the claim, then two BP rounds
+    sim._init_worker(code5, DecoderConfig(), board)
+    sim._lane()
+    assert board.done.reads == 4 and board.queue.empty()
+    # Not done, the same chunk runs to the iteration cap.
     want = sim._run_trials(code5, JointBpDecoder.for_code(code5), 0.3, 3, 0, 0, 25)
     assert max(r.iterations for r in want) == DecoderConfig().max_iterations
 
 
-def test_pooled_run_point_writes_its_token_when_it_stops(code5, monkeypatch):
-    monkeypatch.setattr(sim, "_tokens", count(41))
+def test_pooled_run_point_marks_its_point_done_when_it_stops(code5):
     cfg = DecoderConfig(max_iterations=30)
     stop = StopRule(3, 600)
-    with sim._pool(code5, cfg, 2) as pool:
-        for token, point in ((41, 0), (42, 1)):
-            res = run_point(code5, 0.3, stop, seed=4, cfg=cfg, workers=2, point_index=point,
-                            pool=pool)
+    with sim._pool(code5, cfg, 2, stop, 4, [(0, 0.3), (1, 0.25)], 1000) as lanes:
+        for point, p_d in ((0, 0.3), (1, 0.25)):
+            res = run_point(code5, p_d, stop, seed=4, cfg=cfg, workers=2, point_index=point,
+                            pool=lanes)
+            assert res == run_point(code5, p_d, stop, seed=4, cfg=cfg, workers=1,
+                                    point_index=point)
             assert res.frame_errors == 3 and res.trials < stop.max_trials
-            assert pool.stopped.value == token
+            assert lanes.board.done[point] == 1
+
+
+def test_a_point_never_has_more_than_its_window_claimed_past_its_fold_head(code5, monkeypatch):
+    # The first chunk is slow, so the other lane runs ahead until the window
+    # is full, and waits.
+    real, peak = sim._run_trials, multiprocessing.Value("q", 0)
+
+    def slow_first(code, decoder, p_d, seed, point_index, start, *args):
+        board = sim._worker[2]
+        with peak.get_lock():
+            peak.value = max(peak.value, board.claimed[0] - board.head[0])
+        if start == 0:
+            time.sleep(0.5)
+        return real(code, decoder, p_d, seed, point_index, start, *args)
+
+    monkeypatch.setattr(sim, "_run_trials", slow_first)  # before the fork, so workers see it
+    stop = StopRule(1000, 400)
+    pooled = run_sweep(code5, [0.05], stop, seed=6, workers=2)
+    monkeypatch.setattr(sim, "_run_trials", real)
+    assert pooled == run_sweep(code5, [0.05], stop, seed=6, workers=1)
+    assert peak.value == 2 * 2
 
 
 def test_run_sweep_two_workers_equal_one(code5):
