@@ -78,6 +78,12 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"invalid probability grid {text!r}") from None
 
 
+def _parse_positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_multipliers(text: str) -> list[int]:
     try:
         ks = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -140,11 +146,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
         "p": None,
         "p_grid": None,
         "seed": 0,
-        "max_iters": 100,
-        "llr_clip": 25.0,
-        "damping": 0.0,
-        "min_frame_errors": 100,
-        "max_trials": 1_000_000,
+        "max_iters": DecoderConfig.max_iterations,
+        "llr_clip": DecoderConfig.llr_clip,
+        "damping": DecoderConfig.damping,
+        "min_frame_errors": StopRule.min_frame_errors,
+        "max_trials": StopRule.max_trials,
         "threads": None,
         "max_logged_failures": 1000,
     }
@@ -352,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_floor = sub.add_parser("floor", help="failure-log residual statistics")
     p_floor.add_argument("logs", nargs="+", metavar="LOG", help="failure-log files")
-    p_floor.add_argument("--l", type=int, required=True, help="row weight unit L")
+    p_floor.add_argument("--l", type=_parse_positive, required=True, help="row weight unit L")
     p_floor.add_argument(
         "--k",
         type=_parse_multipliers,

@@ -1,4 +1,4 @@
-"""Sparse and dense linear algebra over GF(2).
+"""Sparse linear algebra over GF(2).
 
 Bit vectors are plain 1-D numpy uint8 arrays with values in {0, 1};
 XOR is the additive group operation.  Matrices are stored row-sparse
@@ -80,20 +80,6 @@ class SparseBinaryMatrix:
         self._packed = None
         self._tanner = None
 
-    @classmethod
-    def from_dense(cls, a) -> "SparseBinaryMatrix":
-        # A fraction stays a fraction mod 2, so as_bits rejects it.
-        a = as_bits("dense input mod 2", np.asarray(a) % 2, np.shape(a))
-        if a.ndim != 2:
-            raise ValueError("dense input must be 2-D")
-        return cls(a.shape[0], a.shape[1], [np.flatnonzero(row) for row in a])
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for r, sup in enumerate(self.row_support):
-            out[r, sup] = 1
-        return out
-
     def row_weights(self) -> np.ndarray:
         return np.fromiter(map(len, self.row_support), dtype=np.int64, count=self.rows)
 
@@ -117,21 +103,6 @@ class SparseBinaryMatrix:
         if self._tanner is None:
             self._tanner = TannerGraph(self)
         return self._tanner
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseBinaryMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.row_support, other.row_support)
-            )
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.nnz))
 
     def __repr__(self) -> str:
         return f"SparseBinaryMatrix({self.rows}x{self.cols}, nnz={self.nnz})"

@@ -7,12 +7,12 @@ outside the row space of H_Z.  Frame errors drive the FER; the
 bit-error count (positions where either component of the residual is
 set) is a diagnostic recorded on failures only and drives the BER.
 
-Trials are independent work items: per-trial randomness is keyed by
-(seed, point index, trial index), and each record is folded, in trial
-order, into counts, a weight histogram and the first logged failures, so
-a point's memory does not grow with its trials.  Trials run in 25-trial
-chunks, on one process pool per sweep or, with one worker, in process; a
-chunk is sampled, decoded as one BP batch and judged as arrays.
+Trials are independent work items, keyed by (seed, point index, trial
+index), and run in 25-trial chunks, on one process pool per sweep or, with
+one worker, in process.  A chunk is sampled, decoded as one BP batch and
+judged as arrays; it returns its iteration counts and its failed records,
+which fold in trial order into counts, a weight histogram and the first
+logged failures, so a point's memory does not grow with its trials.
 On a pool each worker runs one lane for the whole sweep: it claims chunks
 from counters shared with the parent, staying on its point until that is
 done or has no chunk left within 2 x workers chunks of the point's fold
@@ -176,28 +176,21 @@ def _run_trials(
     start: int,
     count: int,
     stopped: Callable[[], bool] | None = None,
-) -> list[TrialRecord]:
-    """Trials start .. start+count-1 as (count, n) arrays, each record equal to
+) -> tuple[list[int], list[TrialRecord]]:
+    """Trials start .. start+count-1 as (count, n) arrays, as a fold takes them: each
+    trial's BP iteration count, and the records of the failed trials, each equal to
     trial_rng .. classify of its trial; a zero residual skips the row-space test.
-    `stopped` goes to decode_batch, and a chunk it abandons returns []."""
+    `stopped` goes to decode_batch, and a chunk it abandons returns ([], [])."""
     trials = range(start, start + count)
     x, z = pauli_bits(trial_uniforms(seed, point_index, trials, code.n), p_d)
     s, t = code.h_z.tanner_graph().check_sums(x), code.h_x.tanner_graph().check_sums(z)
     outcomes = decoder.decode_batch(s, t, p_d, stopped=stopped)
     if not outcomes:  # abandoned
-        return []
+        return [], []
     exact = ~(np.array([(o.x_hat, o.z_hat) for o in outcomes]) ^ np.stack((x, z), 1)).any((1, 2))
-    return [
-        TrialRecord(trial, o.converged, True, 0, 0, 0, o.iterations) if ok
-        else classify(code, PauliError(xi, zi), o, trial_index=trial)
-        for trial, xi, zi, o, ok in zip(trials, x, z, outcomes, exact)
-    ]
-
-
-def _summary(records: Sequence[TrialRecord]) -> tuple[list[int], list[TrialRecord]]:
-    """What a fold takes of a chunk's records: every trial's BP iteration
-    count and the records of the failed trials (pooled, far less to pickle)."""
-    return [r.iterations for r in records], [r for r in records if not r.success]
+    judged = (classify(code, PauliError(xi, zi), o, trial_index=trial)
+              for trial, xi, zi, o, ok in zip(trials, x, z, outcomes, exact) if not ok)
+    return [o.iterations for o in outcomes], [r for r in judged if not r.success]
 
 
 class _Fold:
@@ -242,7 +235,7 @@ class _Board:
     Per slot, `claimed` counts the chunks handed out and `on` the lanes
     on it, both changed under `lock` by the lanes; `head` (chunks folded)
     and `done` are written by the parent only.  The lanes send each
-    chunk's _summary on `queue` and wait on `wake`, which the parent
+    chunk's _run_trials pair on `queue` and wait on `wake`, which the parent
     releases once per chunk it receives.
     """
 
@@ -292,9 +285,9 @@ def _init_worker(code: QuantumQcCode, cfg: DecoderConfig, board: _Board) -> None
 
 
 def _lane() -> None:
-    """A pool worker's one task: decode claimed chunks and send their records
-    until no point has chunks left.  A chunk whose point is done before it
-    is sent, or while it decodes, is dropped."""
+    """A pool worker's one task: decode claimed chunks and send what their
+    folds take until no point has chunks left.  A chunk whose point is done
+    before it is sent, or while it decodes, is dropped."""
     code, decoder, board = _worker
     done, k = board.done, -1
     while (claim := board.claim(k)) is not None:
@@ -304,10 +297,10 @@ def _lane() -> None:
             continue
         point_index, p_d = board.points[k]
         start = c * board.chunk
-        records = _run_trials(code, decoder, p_d, board.seed, point_index, start,
-                              min(board.chunk, board.max_trials - start), lambda: done[k])
-        if records and not done[k]:
-            board.queue.put((k, c, *_summary(records)))
+        chunk = _run_trials(code, decoder, p_d, board.seed, point_index, start,
+                            min(board.chunk, board.max_trials - start), lambda: done[k])
+        if chunk[0] and not done[k]:
+            board.queue.put((k, c, *chunk))
 
 
 class _Lanes:
@@ -445,8 +438,7 @@ def run_point(
         decoder = JointBpDecoder.for_code(code, cfg)
         while not fold.done:  # a fold that is not done has taken every trial so far
             count = min(_CHUNK, stop.max_trials - fold.trials)
-            records = _run_trials(code, decoder, p_d, seed, point_index, fold.trials, count)
-            fold.add(*_summary(records))
+            fold.add(*_run_trials(code, decoder, p_d, seed, point_index, fold.trials, count))
     else:
         with nullcontext(pool) if pool is not None else _pool(
             code, cfg, workers, stop, seed, [(point_index, p_d)], max_logged_failures
@@ -582,7 +574,7 @@ def write_failure_log(path, p_d: float, failures: Iterable[TrialRecord]) -> None
 def read_failure_log(path) -> list[dict]:
     """Read one failure-log file written by :func:`write_failure_log`.
 
-    A line that is not a JSON object with an integer ``bit_errors``
+    A line that is not a JSON object with an integer ``bit_errors`` >= 0
     raises ValueError naming the file and line.
     """
     out = []
@@ -595,7 +587,8 @@ def read_failure_log(path) -> list[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}, line {line_no}: {exc}") from None
-            if not isinstance(rec, dict) or type(rec.get("bit_errors")) is not int:
-                raise ValueError(f"{path}, line {line_no}: not an object with an integer bit_errors")
+            w = rec.get("bit_errors") if isinstance(rec, dict) else None
+            if type(w) is not int or w < 0:
+                raise ValueError(f"{path}, line {line_no}: bit_errors is not an integer >= 0")
             out.append(rec)
     return out

@@ -4,9 +4,12 @@ Everything here deliberately avoids the library's packed-int
 elimination, Tanner-graph gathers, one-pass row canonicalization and
 BFS code paths: products come from dense numpy matmul, ranks from dense
 numpy elimination, row-space membership from exhaustive enumeration,
-canonical rows from one np.unique per row, circulant expansions from
-rolled identities, and short cycles from explicit pattern search, so
-the two sides of each comparison share no implementation.
+canonical rows from one np.unique per row, dense views from row supports
+entry by entry, circulant expansions from rolled identities, and short
+cycles from explicit pattern search, so the two sides of each comparison
+share no implementation.  `sparse_from_dense` is no oracle: it builds test
+inputs with the library's constructor, which the per-row canonicalization
+oracle checks.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+
+from qcldpc.gf2 import SparseBinaryMatrix
 
 
 def mul_mod2(A, B) -> np.ndarray:
@@ -55,6 +60,17 @@ def dense_from_support(rows: int, cols: int, row_support) -> np.ndarray:
         for c in np.asarray(sup).ravel().tolist():
             out[r, int(c)] ^= 1
     return out
+
+
+def dense_view(m: SparseBinaryMatrix) -> np.ndarray:
+    """The dense 0/1 matrix of m, built from its row supports."""
+    return dense_from_support(m.rows, m.cols, m.row_support)
+
+
+def sparse_from_dense(a) -> SparseBinaryMatrix:
+    """The SparseBinaryMatrix with a 1 wherever the 2-D array a is nonzero."""
+    a = np.asarray(a)
+    return SparseBinaryMatrix(a.shape[0], a.shape[1], [np.flatnonzero(row) for row in a])
 
 
 def packed_row(row: np.ndarray) -> int:

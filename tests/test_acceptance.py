@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from conftest import GIRTH6_P, GIRTH6_P_LARGE
-from oracles import mul_mod2, nullspace_basis, row_space_set
+from oracles import dense_view, mul_mod2, nullspace_basis, row_space_set
 from qcldpc import (
     DecodeOutcome,
     DecoderConfig,
@@ -44,7 +44,7 @@ def test_criterion_01_orthogonality(pair):
     t0 = time.time()
     for P in ORTHOGONALITY_SIZES:
         code = build_code(pair, P)  # raises on any violation
-        prod = mul_mod2(code.h_x.to_dense(), code.h_z.to_dense().T)
+        prod = mul_mod2(dense_view(code.h_x), dense_view(code.h_z).T)
         assert not prod.any(), f"nonzero product at P={P}"
     elapsed = time.time() - t0
     report(
@@ -130,7 +130,7 @@ def test_criterion_06_convergence_soundness(code25):
     violations = 0
     converged_seen = 0
     dec = JointBpDecoder.for_code(code25, DecoderConfig())
-    hx, hz = code25.h_x.to_dense(), code25.h_z.to_dense()
+    hx, hz = dense_view(code25.h_x), dense_view(code25.h_z)
     for point, p_d in enumerate((0.02, 0.05, 0.08)):
         for lo in range(0, trials_per_rate, batch):
             syns = [
@@ -156,7 +156,7 @@ def test_criterion_06_convergence_soundness(code25):
 
 def test_criterion_07_degeneracy(code5):
     rng = np.random.default_rng(707)
-    hx = code5.h_x.to_dense()
+    hx = dense_view(code5.h_x)
     e = sample_error(code5.n, 0.2, trial_rng(707, 0, 0))
     successes = 0
     for _ in range(100):
@@ -168,7 +168,7 @@ def test_criterion_07_degeneracy(code5):
         successes += classify(code5, e, outcome).success
 
     space = row_space_set(hx)
-    basis = nullspace_basis(code5.h_z.to_dense())
+    basis = nullspace_basis(dense_view(code5.h_z))
     kernel_not_stabilizer = None
     for mask in range(1, 1 << len(basis)):
         v = np.zeros(code5.n, dtype=np.uint8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import mul_mod2, nullspace_basis
+from oracles import dense_view, mul_mod2, nullspace_basis
 from qcldpc.channel import (
     PauliError,
     depolarizing_prior,
@@ -137,7 +137,7 @@ def test_zero_error_zero_syndrome(code5):
 
 
 def test_kernel_vector_gives_zero_s(code5):
-    basis = nullspace_basis(code5.h_z.to_dense())
+    basis = nullspace_basis(dense_view(code5.h_z))
     assert basis, "h_z should have a nontrivial kernel"
     v = basis[0] ^ basis[-1]
     e = PauliError(x=v, z=np.zeros(code5.n, dtype=np.uint8))
@@ -147,7 +147,7 @@ def test_kernel_vector_gives_zero_s(code5):
 
 def test_row_of_hx_invisible_to_s(code5):
     # Orthogonality: rows of H_X lie in ker(H_Z).
-    row = code5.h_x.to_dense()[7]
+    row = dense_view(code5.h_x)[7]
     e = PauliError(x=row, z=np.zeros(code5.n, dtype=np.uint8))
     assert not extract_syndrome(code5, e).s.any()
 
@@ -159,8 +159,8 @@ def test_syndrome_matches_direct_product(code_name, request):
     x = (rng.random(code.n) < 0.3).astype(np.uint8)
     z = (rng.random(code.n) < 0.3).astype(np.uint8)
     syn = extract_syndrome(code, PauliError(x=x, z=z))
-    assert np.array_equal(syn.s, mul_mod2(code.h_z.to_dense(), x))
-    assert np.array_equal(syn.t, mul_mod2(code.h_x.to_dense(), z))
+    assert np.array_equal(syn.s, mul_mod2(dense_view(code.h_z), x))
+    assert np.array_equal(syn.t, mul_mod2(dense_view(code.h_x), z))
     # The decoder checks its hard decisions on the very layouts used here.
     decoder = JointBpDecoder.for_code(code)
     assert decoder.gx is code.h_z.tanner_graph() and decoder.gz is code.h_x.tanner_graph()
@@ -195,7 +195,7 @@ def test_stabilizers_invisible_to_syndrome(code5):
     x = (rng.random(code5.n) < 0.3).astype(np.uint8)
     z = (rng.random(code5.n) < 0.3).astype(np.uint8)
     base = extract_syndrome(code5, PauliError(x=x, z=z))
-    hx, hz = code5.h_x.to_dense(), code5.h_z.to_dense()
+    hx, hz = dense_view(code5.h_x), dense_view(code5.h_z)
     for _ in range(20):
         picks_x = rng.integers(0, 2, hx.shape[0]).astype(np.uint8)
         picks_z = rng.integers(0, 2, hz.shape[0]).astype(np.uint8)

@@ -366,7 +366,22 @@ def test_floor_rejects_multipliers_that_are_not_positive_integers(tmp_path, caps
     assert "positive integers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ['{"trial":0}', "[1,2]", '{"bit_errors":"3"}', "{"])
+@pytest.mark.parametrize("l", ["0", "-2"])
+@pytest.mark.parametrize("weights", [[], [3]])
+def test_floor_rejects_a_unit_that_is_not_a_positive_integer(tmp_path, capsys, l, weights):
+    # With an empty log, --l 0 used to print "no failures recorded" and exit 0;
+    # with a failure, it exited 1.
+    log = tmp_path / "f.jsonl"
+    write_log(log, weights)
+    with pytest.raises(SystemExit) as exc:
+        main(["floor", str(log), "--l", l])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ['{"trial":0}', "[1,2]", '{"bit_errors":"3"}', '{"bit_errors":-3}', "{"]
+)
 def test_floor_rejects_a_line_that_is_not_a_failure_record(tmp_path, capsys, line):
     log = tmp_path / "bad.jsonl"
     write_log(log, [3])

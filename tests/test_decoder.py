@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mul_mod2
+from oracles import dense_view, mul_mod2
 from qcldpc import build_code
 from qcldpc.channel import PauliError, Syndrome, extract_syndrome, sample_error, trial_rng
 from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder, _log_prior
@@ -28,8 +28,8 @@ def weight_one_error(n, i, xb, zb):
 
 
 def syndromes_match(code, outcome, syn):
-    return np.array_equal(mul_mod2(code.h_z.to_dense(), outcome.x_hat), syn.s) and np.array_equal(
-        mul_mod2(code.h_x.to_dense(), outcome.z_hat), syn.t
+    return np.array_equal(mul_mod2(dense_view(code.h_z), outcome.x_hat), syn.s) and np.array_equal(
+        mul_mod2(dense_view(code.h_x), outcome.z_hat), syn.t
     )
 
 

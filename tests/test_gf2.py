@@ -9,18 +9,20 @@ from oracles import (
     canonical_rows,
     dense_from_support,
     dense_rank,
+    dense_view,
     has_four_cycle,
     mul_mod2,
     packed_row,
     row_space_set,
     short_cycle_girth,
+    sparse_from_dense,
 )
 from qcldpc.codes import ExponentMatrix, expand_exponent_matrix
 from qcldpc.gf2 import RowSpace, SparseBinaryMatrix, girth, pack_bits
 
 
 def random_sparse(rng, rows, cols, density=0.2):
-    return SparseBinaryMatrix.from_dense(rng.random((rows, cols)) < density)
+    return sparse_from_dense(rng.random((rows, cols)) < density)
 
 
 def cpm(shift, P):
@@ -38,7 +40,7 @@ def random_regular(rng, J, L, P):
 
 
 def test_cpm_zero_shift_is_identity():
-    assert np.array_equal(cpm(0, 4).to_dense(), np.eye(4, dtype=np.uint8))
+    assert np.array_equal(dense_view(cpm(0, 4)), np.eye(4, dtype=np.uint8))
 
 
 def test_cpm_shift_one():
@@ -47,7 +49,7 @@ def test_cpm_shift_one():
 
 
 def test_cpm_negative_shift_reduces_mod_p():
-    assert cpm(-1, 3) == cpm(2, 3)
+    assert np.array_equal(dense_view(cpm(-1, 3)), dense_view(cpm(2, 3)))
     assert [tuple(sup) for sup in cpm(-1, 3).row_support] == [(2,), (0,), (1,)]
 
 
@@ -58,13 +60,13 @@ def test_cpm_rejects_zero_size():
 
 @given(st.integers(-300, 300), st.integers(1, 40))
 def test_cpm_shift_wraps(a, P):
-    assert cpm(a, P) == cpm(a % P, P)
+    assert np.array_equal(dense_view(cpm(a, P)), dense_view(cpm(a % P, P)))
 
 
 @given(st.integers(0, 39), st.integers(1, 40))
 def test_cpm_inverse_pairing(a, P):
     a %= P
-    prod = mul_mod2(cpm(a, P).to_dense(), cpm(P - a, P).to_dense())
+    prod = mul_mod2(dense_view(cpm(a, P)), dense_view(cpm(P - a, P)))
     assert np.array_equal(prod, np.eye(P, dtype=np.uint8))
 
 
@@ -74,8 +76,8 @@ def test_cpm_inverse_pairing(a, P):
 
 @given(st.integers(0, 30), st.integers(0, 30), st.integers(2, 31))
 def test_mat_mul_cpm_composition(a, b, P):
-    lhs = mul_mod2(cpm(a, P).to_dense(), cpm(b, P).to_dense())
-    assert np.array_equal(lhs, cpm(a + b, P).to_dense())
+    lhs = mul_mod2(dense_view(cpm(a, P)), dense_view(cpm(b, P)))
+    assert np.array_equal(lhs, dense_view(cpm(a + b, P)))
 
 
 def test_mat_mul_characteristic_two_cancellation():
@@ -103,7 +105,7 @@ def test_mat_vec_zero_vector():
 
 
 def test_mat_vec_all_ones_two_by_two():
-    m = SparseBinaryMatrix.from_dense(np.ones((2, 2), dtype=np.uint8))
+    m = sparse_from_dense(np.ones((2, 2), dtype=np.uint8))
     got = m.tanner_graph().check_sums(np.array([1, 0], dtype=np.uint8))
     assert np.array_equal(got, np.array([1, 1], dtype=np.uint8))
 
@@ -118,9 +120,9 @@ def test_mat_vec_linearity(seed):
     v = (rng.random(m.cols) < 0.5).astype(np.uint8)
     lhs = graph.check_sums(u ^ v)
     assert np.array_equal(lhs, graph.check_sums(u) ^ graph.check_sums(v))
-    assert np.array_equal(lhs, mul_mod2(m.to_dense(), u ^ v))
+    assert np.array_equal(lhs, mul_mod2(dense_view(m), u ^ v))
     batch = np.stack((u, v))
-    assert np.array_equal(graph.check_sums(batch), mul_mod2(batch, m.to_dense().T))
+    assert np.array_equal(graph.check_sums(batch), mul_mod2(batch, dense_view(m).T))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +138,7 @@ def test_rank_zero_matrix():
 
 
 def test_rank_dependent_rows():
-    assert RowSpace(SparseBinaryMatrix.from_dense(np.ones((2, 2)))).rank == 1
+    assert RowSpace(sparse_from_dense(np.ones((2, 2)))).rank == 1
 
 
 @given(st.integers(0, 2**40))
@@ -144,20 +146,20 @@ def test_rank_dependent_rows():
 def test_rank_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     dense = (rng.random((8, 12)) < 0.3).astype(np.uint8)
-    assert RowSpace(SparseBinaryMatrix.from_dense(dense)).rank == dense_rank(dense)
+    assert RowSpace(sparse_from_dense(dense)).rank == dense_rank(dense)
 
 
 def test_rank_invariant_under_row_permutation_and_addition():
     rng = np.random.default_rng(17)
     dense = (rng.random((10, 15)) < 0.3).astype(np.uint8)
-    base = RowSpace(SparseBinaryMatrix.from_dense(dense)).rank
+    base = RowSpace(sparse_from_dense(dense)).rank
 
     perm = rng.permutation(10)
-    assert RowSpace(SparseBinaryMatrix.from_dense(dense[perm])).rank == base
+    assert RowSpace(sparse_from_dense(dense[perm])).rank == base
 
     added = dense.copy()
     added[3] ^= added[7]  # row addition
-    assert RowSpace(SparseBinaryMatrix.from_dense(added)).rank == base
+    assert RowSpace(sparse_from_dense(added)).rank == base
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +170,7 @@ def test_row_space_contains_each_row():
     rng = np.random.default_rng(23)
     m = random_sparse(rng, 6, 11, 0.4)
     space = RowSpace(m)
-    for row in m.to_dense():
+    for row in dense_view(m):
         assert space.contains(row)
 
 
@@ -183,7 +185,7 @@ def test_row_space_matches_enumeration_oracle():
     # matrix (2^rank vectors) vs the elimination-based answer.
     rng = np.random.default_rng(31)
     dense = (rng.random((10, 20)) < 0.3).astype(np.uint8)
-    m = RowSpace(SparseBinaryMatrix.from_dense(dense))
+    m = RowSpace(sparse_from_dense(dense))
     space = row_space_set(dense)
     members = 0
     for _ in range(300):
@@ -200,7 +202,7 @@ def test_row_space_matches_enumeration_oracle():
 def test_row_space_closed_under_adding_rows():
     rng = np.random.default_rng(37)
     m = random_sparse(rng, 8, 16, 0.3)
-    dense = m.to_dense()
+    dense = dense_view(m)
     space = RowSpace(m)
     v = dense[2] ^ dense[5]
     assert space.contains(v)
@@ -229,7 +231,7 @@ def test_row_space_rejects_non_binary_vectors(value):
 
 
 def test_girth_two_by_two_all_ones():
-    assert girth(SparseBinaryMatrix.from_dense(np.ones((2, 2)))) == 4
+    assert girth(sparse_from_dense(np.ones((2, 2)))) == 4
 
 
 def test_girth_single_cpm_unbounded():
@@ -245,14 +247,14 @@ def test_girth_six_cross_checked_by_enumeration(code25):
     # matrices of the first girth-6 code.
     for h in (code25.h_x, code25.h_z):
         assert girth(h) == 6
-        assert short_cycle_girth(h.to_dense()) == 6
+        assert short_cycle_girth(dense_view(h)) == 6
 
 
 def test_girth_at_least_six_iff_no_four_cycle():
     rng = np.random.default_rng(41)
     for _ in range(40):
         dense = (rng.random((8, 12)) < 0.25).astype(np.uint8)
-        m = SparseBinaryMatrix.from_dense(dense)
+        m = sparse_from_dense(dense)
         assert (girth(m) >= 6) == (not has_four_cycle(dense))
 
 
@@ -266,7 +268,7 @@ def test_girth_known_six_cycle():
         ],
         dtype=np.uint8,
     )
-    assert girth(SparseBinaryMatrix.from_dense(dense)) == 6
+    assert girth(sparse_from_dense(dense)) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +327,7 @@ def test_construction_matches_per_row_oracle(case):
     for got, ref in zip(m.row_support, want):
         assert got.dtype == np.int64 and np.array_equal(got, ref)
     dense = dense_from_support(rows, cols, support)
-    assert np.array_equal(m.to_dense(), dense)
+    assert np.array_equal(dense_view(m), dense)
     assert np.array_equal(m.row_weights(), dense.sum(axis=1))
     assert np.array_equal(m.col_weights(), dense.sum(axis=0))
     assert m.nnz == int(dense.sum())
@@ -347,18 +349,6 @@ def test_construction_names_the_oracles_first_bad_row(case, data):
     with pytest.raises(ValueError) as got:
         SparseBinaryMatrix(rows, cols, support)
     assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("dense", [[[2, 0.5, 1]], [[-1.0, 1.5]]])
-def test_from_dense_rejects_fractional_entries(dense):
-    # A cast to uint8 before the mod 2 would read 0.5 as 0 and 1.5 as 1.
-    with pytest.raises(ValueError, match="dense input mod 2 must hold only 0 and 1"):
-        SparseBinaryMatrix.from_dense(dense)
-
-
-def test_from_dense_takes_integers_mod_2():
-    for dense in ([[2, -1, 3, 0]], [[2.0, -1.0, 3.0, 0.0]]):
-        assert SparseBinaryMatrix.from_dense(dense).row_support[0].tolist() == [1, 2]
 
 
 def test_row_support_strictly_increasing():

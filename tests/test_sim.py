@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mul_mod2, nullspace_basis, row_space_set
+from oracles import dense_view, mul_mod2, nullspace_basis, row_space_set
 from qcldpc import build_code, builtin_pair_j3_l8, sim
 from qcldpc.channel import PauliError, extract_syndrome, sample_error, trial_rng
 from qcldpc.cli import _csv_row
@@ -59,7 +59,7 @@ def test_classify_exact_recovery(code5):
 def test_classify_degenerate_corrections(code5):
     # Adding stabilizer rows to the estimate never breaks success.
     rng = np.random.default_rng(8)
-    hx, hz = code5.h_x.to_dense(), code5.h_z.to_dense()
+    hx, hz = dense_view(code5.h_x), dense_view(code5.h_z)
     e = random_error(code5.n, 0.2, 2)
     for _ in range(100):
         stab_x = (rng.integers(0, 2, hx.shape[0]) @ hx % 2).astype(np.uint8)
@@ -71,8 +71,8 @@ def test_classify_degenerate_corrections(code5):
 def test_classify_kernel_vector_outside_row_space_fails(code5):
     # Brute force: enumerate ker(h_z) via its basis and the full row
     # space of h_x; pick a kernel vector that is not a stabilizer.
-    space = row_space_set(code5.h_x.to_dense())
-    basis = nullspace_basis(code5.h_z.to_dense())
+    space = row_space_set(dense_view(code5.h_x))
+    basis = nullspace_basis(dense_view(code5.h_z))
     found = None
     for mask in range(1, 1 << min(len(basis), 14)):
         v = np.zeros(code5.n, dtype=np.uint8)
@@ -83,7 +83,7 @@ def test_classify_kernel_vector_outside_row_space_fails(code5):
             found = v
             break
     assert found is not None, "kernel must exceed the stabilizer row space"
-    assert not mul_mod2(code5.h_z.to_dense(), found).any()
+    assert not mul_mod2(dense_view(code5.h_z), found).any()
 
     e = random_error(code5.n, 0.2, 3)
     rec = classify(code5, e, outcome_from(e.x ^ found, e.z))
@@ -116,7 +116,7 @@ def test_nonconvergence_chain(code25):
     # converged = False => recomputed syndrome differs => the residual
     # has a nonzero syndrome => it cannot be a stabilizer => failure.
     dec = JointBpDecoder.for_code(code25, DecoderConfig(max_iterations=8))
-    hx, hz = code25.h_x.to_dense(), code25.h_z.to_dense()
+    hx, hz = dense_view(code25.h_x), dense_view(code25.h_z)
     checked = 0
     for t in range(300):
         rng = trial_rng(41, 0, t)
@@ -328,8 +328,8 @@ from qcldpc import build_code, builtin_pair_j3_l8, sim
 
 def run(code, decoder, p_d, seed, point_index, start, count, stopped=None):
     # Failures with long supports: each chunk's message (about 150 kB) fills the pipe.
-    return [sim.TrialRecord(t, False, False, 1, 1, 0, 1, tuple([0] * 3000))
-            for t in range(start, start + count)]
+    return [1] * count, [sim.TrialRecord(t, False, False, 1, 1, 0, 1, tuple([0] * 3000))
+                         for t in range(start, start + count)]
 
 sim._run_trials = run
 res, = sim.run_sweep(build_code(builtin_pair_j3_l8(), 5), [0.1], sim.StopRule(100, 10**6), 1,
@@ -367,6 +367,11 @@ def chain(code, decoder, p_d, seed, point, trials):
     return records
 
 
+def folded(records):
+    """What a fold takes of per-trial records: every iteration count, and the failed records."""
+    return [r.iterations for r in records], [r for r in records if not r.success]
+
+
 @st.composite
 def chunk_keys(draw):
     count = draw(st.integers(1, 25))
@@ -383,18 +388,18 @@ def test_run_trials_equals_the_per_trial_chain(P, p_d, key):
     seed, point, start, count = key
     code, decoder = _CHAIN[P]
     got = sim._run_trials(code, decoder, p_d, seed, point, start, count)
-    assert got == chain(code, decoder, p_d, seed, point, range(start, start + count))
+    assert got == folded(chain(code, decoder, p_d, seed, point, range(start, start + count)))
 
 
 def test_run_trials_judges_one_sided_residuals_as_failures():
     # This chunk holds exact recoveries and failures whose residual is zero
     # on one component only, on the x side and on the z side.
     code, decoder = _CHAIN[25]
-    got = sim._run_trials(code, decoder, 0.1, 2, 1, 0, 25)
-    assert got == chain(code, decoder, 0.1, 2, 1, range(25))
-    assert any(r.success and r.residual_weight_x == r.residual_weight_z == 0 for r in got)
+    records = chain(code, decoder, 0.1, 2, 1, range(25))
+    assert sim._run_trials(code, decoder, 0.1, 2, 1, 0, 25) == folded(records)
+    assert any(r.success and r.residual_weight_x == r.residual_weight_z == 0 for r in records)
     for zero_side in ("residual_weight_x", "residual_weight_z"):
-        assert any(not r.success and getattr(r, zero_side) == 0 for r in got)
+        assert any(not r.success and getattr(r, zero_side) == 0 for r in records)
 
 
 class _ShiftedByStabilizer:
@@ -402,7 +407,7 @@ class _ShiftedByStabilizer:
     frame BP recovers exactly has a nonzero residual that is a stabilizer."""
 
     def __init__(self, code, decoder):
-        self.decoder, self.row = decoder, code.h_x.to_dense()[0].astype(np.uint8)
+        self.decoder, self.row = decoder, dense_view(code.h_x)[0].astype(np.uint8)
 
     def shifted(self, o):
         return DecodeOutcome(o.x_hat ^ self.row, o.z_hat, o.converged, o.iterations)
@@ -417,9 +422,9 @@ class _ShiftedByStabilizer:
 def test_run_trials_judges_degenerate_residuals_as_successes():
     code, decoder = _CHAIN[25]
     shifted = _ShiftedByStabilizer(code, decoder)
-    got = sim._run_trials(code, shifted, 0.05, 4, 0, 0, 25)
-    assert got == chain(code, shifted, 0.05, 4, 0, range(25))
-    assert any(r.success and r.residual_weight_x == code.L for r in got)
+    records = chain(code, shifted, 0.05, 4, 0, range(25))
+    assert sim._run_trials(code, shifted, 0.05, 4, 0, 0, 25) == folded(records)
+    assert any(r.success and r.residual_weight_x == code.L for r in records)
 
 
 def test_board_never_claims_a_done_points_chunks():
@@ -460,8 +465,8 @@ def test_lane_abandons_a_chunk_whose_point_is_done_while_it_decodes(code5, monke
     sim._lane()
     assert board.done.reads == 4 and board.queue.empty()
     # Not done, the same chunk runs to the iteration cap.
-    want = sim._run_trials(code5, JointBpDecoder.for_code(code5), 0.3, 3, 0, 0, 25)
-    assert max(r.iterations for r in want) == DecoderConfig().max_iterations
+    iterations, _ = sim._run_trials(code5, JointBpDecoder.for_code(code5), 0.3, 3, 0, 0, 25)
+    assert max(iterations) == DecoderConfig().max_iterations
 
 
 def test_pooled_run_point_marks_its_point_done_when_it_stops(code5):
