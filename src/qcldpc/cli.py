@@ -369,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="hashing-bound threshold for a rate")
     p_bound.add_argument("--rate", type=float, help="code rate in [0, 1]")
-    p_bound.add_argument("--j", type=int, help="block-row count J")
-    p_bound.add_argument("--l", type=int, help="block-column count L")
+    p_bound.add_argument("--j", type=_parse_positive, help="block-row count J")
+    p_bound.add_argument("--l", type=_parse_positive, help="block-column count L")
     p_bound.set_defaults(func=cmd_bound)
     return parser
 

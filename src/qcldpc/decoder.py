@@ -20,7 +20,10 @@ Message rules (flooding schedule, LLR convention L = ln(P(0)/P(1))):
 
 The decoder checks the recomputed syndrome after every hard decision,
 starting from the prior-only decision before any message update, and
-stops on match or after max_iterations rounds.
+stops on match or after max_iterations rounds.  That first round is the
+same for every frame: with all messages 0 every total is the prior LLR
+c0 = ln[(p_I + p_Z) / (p_X + p_Y)], so every decision is c0 < 0, and
+each check's first message depends only on its edge slot and syndrome bit.
 
 Both graphs are the :class:`~qcldpc.gf2.TannerGraph` layouts cached on
 the check matrices (the ones syndrome extraction reads), which also
@@ -52,7 +55,14 @@ iteration makes few calls, on contiguous blocks:
   tanh(llr_clip / 2), and so is each product of d - 1 >= 1 of them, which at
   the default clip of 25 is 1 - 2.8e-11 against the guard's 1 - 1e-15;
 * halving is a multiply by 0.5 (the same double as / 2.0), and the syndrome
-  signs are laid out per edge row whenever the batch is laid out.
+  signs are laid out per edge row whenever the batch is laid out;
+* round 0, the widest round of a batch, is written down, not run: a frame
+  converges there iff its syndrome is d (c0 < 0) mod 2 on every check, and
+  the others start round 1 from a (d, 2) table of messages by slot and
+  syndrome bit.  The table's d constants come from decode's ops in its
+  order, tanh and arctanh on contiguous arrays, and its sign multiply, clip
+  and damping are the loop's (whose + damping * 0.0 turns a -0.0 message
+  into +0.0), so it holds the loop's bits.
 
 The edge totals are gathered into the spare one of the two message
 buffers, where the check update turns them into the next messages, and
@@ -290,11 +300,33 @@ class JointBpDecoder:
         # |excl| <= tanh(clip / 2) when d >= 2, so the guard binds only if that comes
         # within numpy tanh's few-ulp error (1e-13 leaves ~900 ulp) of _TANH_GUARD.
         guard = d < 2 or math.tanh(clip / 2) > _TANH_GUARD - 1e-13
-        rows = np.arange(len(S))  # each column's frame
+        # Round 0 in closed form: with every message 0, each total is c0 (decode's sums,
+        # its Lambda = 0 included), so each hard decision is c0 < 0, each check's parity
+        # is d of them mod 2, and each message depends only on its slot and syndrome bit.
+        ch = np.logaddexp([ln_i, ln_x], ln_x)  # the channel terms, ln_x - 0.0 = ln_x
+        c0 = ch[0] - ch[1] + 0.0
+        syn = np.concatenate([S.T, T.T])
+        fail = self._ones @ (syn != d * (c0 < 0.0) % 2)
         outcomes: list[DecodeOutcome | None] = [None] * len(S)
-        v = self._views(np.concatenate([S.T, T.T]))
-        v.msg[...] = 0.0
-        for it in range(cap + 1):
+        for r in range(len(S)) if p_d == 0.0 else np.flatnonzero(~fail):
+            x_hat, z_hat = np.full((2, self.n), c0 < 0.0, np.uint8)
+            outcomes[r] = DecodeOutcome(x_hat, z_hat, not fail[r], 0)
+        rows = np.flatnonzero(fail)  # each column's frame
+        if p_d == 0.0 or not len(rows):
+            return outcomes
+        if stopped is not None and stopped():
+            return []
+        # P[k] is the k-fold product of tanh(clip(c0) / 2), in the chain's order, so slot
+        # k's excl is P[k] * P[d-1-k]; its message, clip(2 (1 - 2 s) arctanh(excl)) damped
+        # against the zero message, is column s of table.
+        P = np.cumprod(np.r_[1.0, np.tanh(np.full(d - 1, c0).clip(-clip, clip) * 0.5)])
+        a = np.arctanh(np.clip(P * P[::-1], -_TANH_GUARD, _TANH_GUARD))
+        table = np.multiply.outer(a, (1.0 - 2.0 * np.arange(2.0)) * 2.0).clip(-clip, clip)
+        if damping:
+            table = table * (1.0 - damping) + damping * 0.0
+        v = self._views(syn[:, rows])
+        table.take(v.syn.view(np.uint8), axis=1, out=v.msg.reshape(v.slots), mode="wrap")
+        for it in range(1, cap + 1):
             # Totals lam + Lambda, as in decode (diff is formed in total).
             v.msg.take(self._var_rows, axis=0, out=v.gath, mode="wrap")
             np.add.reduce(v.gath, axis=0, out=v.lam)
@@ -307,7 +339,7 @@ class JointBpDecoder:
             v.total_rows.take(self._edge_vars, axis=0, out=t, mode="wrap")
             np.less(t, 0.0, out=v.par_rows)
             fail = self._ones @ np.bitwise_xor.reduce(v.par, axis=0)
-            last = it == cap or (p_d == 0.0 and it == 0)
+            last = it == cap
             if last or np.count_nonzero(fail) < len(fail):
                 for r in range(len(fail)) if last else np.flatnonzero(~fail):
                     x_hat, z_hat = (v.total[:, :, r] < 0.0).astype(np.uint8)

@@ -412,6 +412,15 @@ def test_bound_jl_matches_rate(capsys):
     assert out_jl == out_rate == "0.126899\n"
 
 
+@pytest.mark.parametrize("j, l", [("0", "8"), ("3", "0"), ("-3", "8")])
+def test_bound_rejects_a_block_count_that_is_not_a_positive_integer(capsys, j, l):
+    # --j 0 used to print 0.000000 and exit 0, --l 0 to exit 1 from design_rate.
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--j", j, "--l", l])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_bound_out_of_range(capsys):
     code, _, err = run_cli(["bound", "--rate", "1.5"], capsys)
     assert code == 2

@@ -241,6 +241,47 @@ def test_decode_batch_equals_decode_where_the_atanh_guard_binds(code5):
     assert_batch_matches_decode(dec, syns, 0.03)
 
 
+def circulant(p, shifts):
+    """The p x p matrix whose row r has ones in columns (r + s) % p, s in shifts."""
+    return SparseBinaryMatrix(p, p, [[(r + s) % p for s in shifts] for r in range(p)])
+
+
+@pytest.fixture(params=["code5", "weight3", "weight1"])
+def round_zero_pair(request, code5):
+    """(H_X, H_Z) of even row weight (code5, 8) and odd (3 and 1), where the round-0
+    parity of every check is d (c0 < 0) mod 2."""
+    return {
+        "code5": lambda: (code5.h_x, code5.h_z),
+        "weight3": lambda: (circulant(7, (0, 1, 3)), circulant(7, (0, 2, 3))),
+        "weight1": lambda: (circulant(6, (1,)), circulant(6, (0,))),
+    }[request.param]()
+
+
+@pytest.mark.parametrize("llr_clip", [1.5, 40.0])
+@pytest.mark.parametrize("damping", [0.0, 0.4])
+@pytest.mark.parametrize("p_d", [0.0, 0.75, 0.9, 0.999])  # c0 = inf, 0 and < 0
+def test_decode_batch_equals_decode_in_round_zero(round_zero_pair, p_d, damping, llr_clip):
+    # Round 0 runs in closed form, so its every branch is checked against decode:
+    # frames that converge there (all-zero syndromes when c0 >= 0 or d is even,
+    # all-ones ones when c0 < 0 and d is odd) and frames that go on from its messages.
+    h_x, h_z = round_zero_pair
+    cfg = DecoderConfig(max_iterations=30, llr_clip=llr_clip, damping=damping)
+    dec = JointBpDecoder(h_x, h_z, cfg)
+    rng = np.random.default_rng(7)
+    zeros, ones = (Syndrome(s=np.full(h_z.rows, b, np.uint8), t=np.full(h_x.rows, b, np.uint8))
+                   for b in (0, 1))
+    mixed = [Syndrome(s=zeros.s, t=ones.t), Syndrome(s=ones.s, t=zeros.t)]
+    randoms = [Syndrome(s=rng.integers(0, 2, h_z.rows).astype(np.uint8),
+                        t=rng.integers(0, 2, h_x.rows).astype(np.uint8)) for _ in range(5)]
+    syns = [zeros, *randoms[:2], ones, *mixed, zeros, *randoms[2:], ones]
+    want = [dec.decode(syn, p_d) for syn in syns]
+    assert any(o.iterations == 0 and o.converged for o in want)
+    if p_d:
+        assert any(o.iterations > 0 for o in want)
+    for lo, hi in ((0, len(syns)), (0, 1), (3, 4), (1, 6)):  # all, zeros, ones, a mix
+        assert_batch_matches_decode(dec, syns[lo:hi], p_d, want[lo:hi])
+
+
 def test_decode_batch_after_an_abandoned_batch(code25):
     # A pool worker's sequence: one decoder abandons a chunk mid-decode (its stale
     # messages stay in the buffers), then decodes chunks of other widths.
