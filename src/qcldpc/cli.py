@@ -229,7 +229,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
-    # Before run_sweep forks its pool, so that the workers inherit both row spaces.
+    # Before run_sweep forks its workers, so that they inherit both row spaces.
     measured = measured_rate(code)
 
     results = run_sweep(
@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-frame-errors", type=int, help="stop a point after this many failures"
     )
     p_sim.add_argument("--max-trials", type=int, help="trial cap per point")
-    p_sim.add_argument("--threads", type=int, help="worker count (default: all cores)")
+    p_sim.add_argument("--threads", type=int, help="processes that decode, this one included "
+                       "(default: every usable CPU)")
     p_sim.add_argument(
         "--max-logged-failures", type=int, help="failure records kept per point"
     )

@@ -8,18 +8,20 @@ bit-error count (positions where either component of the residual is
 set) is a diagnostic recorded on failures only and drives the BER.
 
 Trials are independent work items, keyed by (seed, point index, trial
-index), and run in 25-trial chunks, on one process pool per sweep or, with
-one worker, in process.  A chunk is sampled, decoded as one BP batch and
-judged as arrays; it returns its iteration counts and its failed records,
-which fold in trial order into counts, a weight histogram and the first
-logged failures, so a point's memory does not grow with its trials.
-On a pool each worker runs one lane for the whole sweep: it claims chunks
-from counters shared with the parent, staying on its point until that is
-done or has no chunk left within 2 x workers chunks of the point's fold
-head, then moving to a point no lane is on, or else the first with chunks
-left.  The parent folds every point's chunks as they arrive and marks a
-point done as soon as its rule fires; lanes then claim none of its chunks,
-and one still decoding is abandoned within one BP iteration.
+index), and run in 25-trial chunks on a sweep's lanes, one per process
+that decodes: the parent's, and one in each worker it forks.  A chunk is
+sampled, decoded as one BP batch and judged as arrays; it returns its
+iteration counts and failed records, which fold in trial order into
+counts, a weight histogram and the first logged failures, so a point's
+memory does not grow with its trials.
+A lane claims chunks from counters the processes share, staying on its
+point until that is done or has no chunk left within 2 x workers chunks of
+the point's fold head, then moving to a point no lane is on, or else the
+first with chunks left.  The parent folds every point's chunks, its own as
+it decodes them and the workers' from their pipes, which it reads between
+its chunks and at each BP round, and marks a point done once its rule
+fires; lanes then claim none of its chunks, and one still decoding is
+abandoned within one BP iteration.
 The stopping rule (first of: F frame errors, T trials) cuts the ordered
 stream, so a point is bit-identical for any worker count and chunk size.
 """
@@ -30,9 +32,10 @@ import json
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -56,8 +59,8 @@ __all__ = [
 ]
 
 # Trials per work item and BP batch.  Keyed trials fold in order, so it sets only
-# scheduling and the batch size.  Pooled chunks of a done point are abandoned
-# mid-decode; in process, a point's last chunk runs to its end.
+# scheduling and the batch size.  Chunks of a done point are abandoned mid-decode, but
+# with one lane (no worker to stop it) a point's last chunk runs to its end.
 _CHUNK = 25
 _LOG2_3 = math.log2(3.0)
 
@@ -229,27 +232,29 @@ class _Fold:
 
 
 class _Board:
-    """What a pool's lanes share, created before the pool forks.
+    """What a sweep's lanes share: the parent's and those of the workers it forks.
 
-    `points` holds the sweep's (point_index, p_d) pairs, one slot each.
-    Per slot, `claimed` counts the chunks handed out and `on` the lanes
-    on it, both changed under `lock` by the lanes; `head` (chunks folded)
-    and `done` are written by the parent only.  The lanes send each
-    chunk's _run_trials pair on `queue` and wait on `wake`, which the parent
-    releases once per chunk it receives.
+    `points` holds the sweep's (point_index, p_d) pairs, one slot each.  Per slot,
+    `claimed` counts the chunks handed out and `on` the lanes on it, both changed
+    under `lock`; `head` (chunks folded) and `done` are written by the parent only.
+    Worker i bumps `sent[i]` before each message it sends the parent, and waits on
+    `wake`, which the parent releases once per chunk it folds.  With no worker,
+    these are plain lists and thread primitives.
     """
 
     def __init__(self, points: Sequence[tuple[int, float]], seed: int, max_trials: int,
                  workers: int):
+        if not 0 <= seed < 2**64:  # the seed is a 64-bit field of the trial key
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         self.points, self.seed, self.max_trials = tuple(points), seed, max_trials
         self.chunk = _CHUNK
         self.chunks = -(-max_trials // _CHUNK)
         self.window = 2 * workers  # chunks a point may have claimed past its fold head
-        self.claimed, self.on, self.head, self.done = (
-            multiprocessing.RawArray("q", len(self.points)) for _ in range(4))
-        self.lock = multiprocessing.Lock()
-        self.wake = multiprocessing.Semaphore(0)
-        self.queue = multiprocessing.SimpleQueue()
+        array = lambda n: [0] * n if workers == 1 else multiprocessing.RawArray("q", n)
+        self.claimed, self.on, self.head, self.done = (array(len(self.points)) for _ in range(4))
+        self.sent = array(workers - 1)
+        sync = threading if workers == 1 else multiprocessing
+        self.lock, self.wake = sync.Lock(), sync.Semaphore(0)
 
     def claim(self, k: int) -> tuple[int, int] | None:
         """The next (slot, chunk) for a lane on slot k (-1 for none).
@@ -260,7 +265,9 @@ class _Board:
         means no slot has chunks left.
         """
         claimed, on, head, done = self.claimed, self.on, self.head, self.done
-        with self.lock:
+        if not self.lock.acquire(timeout=1.0):  # its holder may have died: let the parent see
+            return -1, 0
+        try:
             if k >= 0:
                 on[k] -= 1
             left = [j for j in range(len(self.points)) if claimed[j] < self.chunks and not done[j]]
@@ -273,68 +280,78 @@ class _Board:
             on[j] += 1
             claimed[j] += 1
             return j, claimed[j] - 1
+        finally:
+            self.lock.release()
+
+    def run(self, code: QuantumQcCode, decoder: JointBpDecoder, k: int, c: int,
+            stopped: Callable[[], bool] | None) -> tuple[list[int], list[TrialRecord]]:
+        """_run_trials of chunk c of slot k."""
+        point_index, p_d = self.points[k]
+        start = c * self.chunk
+        return _run_trials(code, decoder, p_d, self.seed, point_index, start,
+                           min(self.chunk, self.max_trials - start), stopped)
 
 
-# (code, decoder, board) of a pool worker, built once by _init_worker rather than per chunk.
-_worker: tuple[QuantumQcCode, JointBpDecoder, _Board] | None = None
-
-
-def _init_worker(code: QuantumQcCode, cfg: DecoderConfig, board: _Board) -> None:
-    global _worker
-    _worker = (code, JointBpDecoder.for_code(code, cfg), board)
-
-
-def _lane() -> None:
-    """A pool worker's one task: decode claimed chunks and send what their
-    folds take until no point has chunks left.  A chunk whose point is done
-    before it is sent, or while it decodes, is dropped."""
-    code, decoder, board = _worker
-    done, k = board.done, -1
-    while (claim := board.claim(k)) is not None:
-        k, c = claim
-        if k < 0:
-            board.wake.acquire()
-            continue
-        point_index, p_d = board.points[k]
-        start = c * board.chunk
-        chunk = _run_trials(code, decoder, p_d, board.seed, point_index, start,
-                            min(board.chunk, board.max_trials - start), lambda: done[k])
-        if chunk[0] and not done[k]:
-            board.queue.put((k, c, *chunk))
+def _lane(code: QuantumQcCode, decoder: JointBpDecoder, board: _Board, i: int,
+          conn: Connection) -> None:
+    """Worker i's lane: send what the folds of its claimed chunks take until no
+    point has chunks left, then None, or the error that ended it.  A chunk
+    whose point is done before it is sent, or while it decodes, is dropped."""
+    end = None
+    try:
+        done, k = board.done, -1
+        while (claim := board.claim(k)) is not None:
+            k, c = claim
+            if k < 0:
+                board.wake.acquire()
+                continue
+            chunk = board.run(code, decoder, k, c, lambda: done[k])
+            if chunk[0] and not done[k]:
+                board.sent[i] += 1  # before sending, so the parent never waits on an empty pipe
+                conn.send((k, c, *chunk))
+    except Exception as exc:  # the parent raises it
+        end = exc
+    board.sent[i] += 1
+    conn.send(end)
 
 
 class _Lanes:
-    """The parent's side of a pool's lanes: a fold for every point of the
-    sweep, fed with each chunk as it arrives, whichever point it is for."""
+    """The parent's side of a sweep: it runs lane 0, keeps a fold for every
+    point, fed with each chunk as it is decoded or arrives, whichever point
+    it is for, and reads the pipes of `workers`, (process, reader) pairs."""
 
-    def __init__(self, board: _Board, stop: StopRule, max_logged_failures: int):
-        self.board = board
+    def __init__(self, code: QuantumQcCode, decoder: JointBpDecoder, board: _Board,
+                 stop: StopRule, max_logged_failures: int):
+        self.code, self.decoder, self.board = code, decoder, board
         self.folds = [_Fold(stop, max_logged_failures) for _ in board.points]
         self.arrived: list[dict[int, list]] = [{} for _ in board.points]
-        self.futures = []
-        self.exited = 0  # lanes whose future has finished
+        self.workers: list[tuple[multiprocessing.Process, Connection]] = []
+        self.received = [0] * len(board.sent)  # messages read from each worker
+        self.open = set(range(len(board.sent)))  # workers whose last message is unread
+        self.k = -1  # the slot lane 0 is on
 
     def fold(self, point_index: int) -> _Fold:
-        """The point's fold, once done; folds every point's chunks meanwhile."""
-        fold = self.folds[[key for key, _ in self.board.points].index(point_index)]
+        """The point's fold, once done; runs lane 0 meanwhile, and waits on
+        the workers' pipes only when it can claim nothing."""
+        board = self.board
+        fold = self.folds[[key for key, _ in board.points].index(point_index)]
         while not fold.done:
-            self._receive()
+            claim = board.claim(self.k)
+            if claim is None or claim[0] < 0:
+                self.k = -1
+                self._wait()
+                continue
+            self.k, c = claim
+            stopped = (lambda k=self.k: self._read() or board.done[k]) if self.workers else None
+            chunk = board.run(self.code, self.decoder, self.k, c, stopped)
+            if chunk[0] and not board.done[self.k]:
+                self._add(self.k, c, chunk)
+            self._read()
         return fold
 
-    def _receive(self) -> None:
-        board = self.board
-        msg = board.queue.get()
-        if msg is None:  # a lane has exited: raise its error, if any
-            self.exited += 1
-            for fut in self.futures:
-                if fut.done():
-                    fut.result()
-            if self.exited == len(self.futures):
-                raise RuntimeError("every lane exited before the sweep's points were done")
-            return
-        k, c, *summary = msg
-        fold, arrived = self.folds[k], self.arrived[k]
-        arrived[c] = summary
+    def _add(self, k: int, c: int, chunk: Sequence) -> None:
+        board, fold, arrived = self.board, self.folds[k], self.arrived[k]
+        arrived[c] = chunk
         while not fold.done and board.head[k] in arrived:
             fold.add(*arrived.pop(board.head[k]))
             board.head[k] += 1
@@ -343,42 +360,71 @@ class _Lanes:
             arrived.clear()
         board.wake.release()
 
-    def close(self) -> None:
-        """Stop every lane and read the queue until all have exited, so
-        that none is left blocked on a full pipe."""
-        board = self.board
-        board.done[:] = [1] * len(board.points)
-        for _ in self.futures:
-            board.wake.release()
-        while self.exited < len(self.futures):
-            if board.queue.get() is None:
-                self.exited += 1
+    def _read(self) -> None:
+        """Take every message the workers have sent; with none, no system call."""
+        for i in range(len(self.workers)):
+            while self.board.sent[i] > self.received[i]:
+                self._take(i)
+
+    def _wait(self) -> None:
+        """Block until a worker has sent a message or exited; take what it sent."""
+        lane = {obj: i for i in self.open for obj in (self.workers[i][1],
+                                                      self.workers[i][0].sentinel)}
+        for i in {lane[obj] for obj in wait(list(lane))}:
+            self._take(i)
+
+    def _take(self, i: int) -> None:
+        """Read worker i's next message: fold a chunk, note its lane's end,
+        or raise its error, or a RuntimeError if it died before sending one."""
+        proc, conn = self.workers[i]
+        try:
+            msg = conn.recv()
+        except EOFError:
+            proc.join()
+            raise RuntimeError(f"a worker died, exit code {proc.exitcode}") from None
+        self.received[i] += 1
+        if msg is None or isinstance(msg, Exception):
+            self.open.discard(i)
+            if msg is not None:
+                raise msg
+        elif not self.board.done[msg[0]]:
+            self._add(msg[0], msg[1], msg[2:])
+
+    def finish(self) -> None:
+        """Stop every lane and read each worker's pipe to its last message,
+        so that none is left blocked on a full pipe."""
+        self.board.done[:] = [1] * len(self.board.points)
+        for _ in self.workers:
+            self.board.wake.release()
+        while self.open:
+            self._take(min(self.open))
 
 
 @contextmanager
 def _pool(code: QuantumQcCode, cfg: DecoderConfig, workers: int, stop: StopRule, seed: int,
           points: Sequence[tuple[int, float]], max_logged_failures: int):
-    """A worker pool with one lane per worker over `points`, (point_index,
-    p_d) pairs; yields their _Lanes, and stops and shuts them down on any exit.
-
-    Each lane's future puts None on the queue when it finishes, so a
-    parent waiting on the queue wakes when a lane fails or its worker dies.
-    `cancel_futures=True` is not used: on CPython 3.11 it deadlocks the
-    shutdown when a task has failed to pickle.
-    """
+    """Yields the _Lanes of the parent and of workers - 1 forked workers over
+    `points`, (point_index, p_d) pairs, which inherit the decoder built here.
+    On leaving, the workers end their lanes or, on an error, are terminated.
+    A worker's pipe reads EOF if it dies, as the parent closes its writer."""
     board = _Board(points, seed, stop.max_trials, workers)
-    lanes = _Lanes(board, stop, max_logged_failures)
-    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(code, cfg, board))
+    lanes = _Lanes(code, JointBpDecoder.for_code(code, cfg), board, stop, max_logged_failures)
     try:
-        for _ in range(workers):
-            lanes.futures.append(fut := pool.submit(_lane))
-            fut.add_done_callback(lambda _: board.queue.put(None))
+        for i in range(workers - 1):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_lane,
+                                           args=(code, lanes.decoder, board, i, writer))
+            proc.start()
+            writer.close()
+            lanes.workers.append((proc, reader))
         yield lanes
+        lanes.finish()
     finally:
-        lanes.close()
-        pool.shutdown()
-    for fut in lanes.futures:
-        fut.result()
+        for i, (proc, reader) in enumerate(lanes.workers):
+            if i in lanes.open:
+                proc.terminate()
+            proc.join()
+            reader.close()
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -395,9 +441,11 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
 
 
 def _check_workers(workers: int | None) -> int:
-    """The worker count, all cores when None; below 1 raises ValueError."""
+    """The worker count, every usable CPU when None; below 1 raises ValueError."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers is None and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return workers or os.cpu_count() or 1
 
 
@@ -415,17 +463,17 @@ def run_point(
 ) -> PointResult:
     """Monte Carlo estimate of FER/BER at one physical error rate.
 
-    Trials run in 25-trial chunks, each decoded as one batch, on a
-    process pool (workers=1 stays in process; None means all cores, and
-    fewer than 1 raises ValueError) and are folded in trial order, so the
-    stopping rule cuts the stream at the same trial for any worker count:
-    results are bit-identical for a fixed (code, p_d, stop, seed, cfg).
-    max_logged_failures caps `failures` only; every count covers all trials.
-    `pool`, the lanes _pool opened for a sweep that holds this point (with
-    this code, cfg, stop, seed and cap), is used and left open; run_sweep
-    passes it, and the call returns once this point is done, having folded
-    the chunks of every point that arrived meanwhile.  Without it, the
-    point opens its own.
+    Trials run in 25-trial chunks, each decoded as one batch, on `workers`
+    processes, this one included (None means every usable CPU, and fewer
+    than 1 raises ValueError; workers=1 starts no process), and are folded
+    in trial order, so the stopping rule cuts the stream at the same trial
+    for any worker count: results are bit-identical for a fixed (code, p_d,
+    stop, seed, cfg).  max_logged_failures caps `failures` only; every
+    count covers all trials.  `pool`, the lanes _pool opened for a sweep
+    that holds this point (with this code, cfg, stop, seed and cap), is
+    used and left open; run_sweep passes it, and the call returns once
+    this point is done, having decoded and folded chunks of any point
+    meanwhile.  Without it, the point opens its own.
     """
     if not 0.0 <= p_d < 1.0:
         raise ValueError(f"p_d must be in [0, 1), got {p_d}")
@@ -433,17 +481,10 @@ def run_point(
     if max_logged_failures < 0:
         raise ValueError(f"max_logged_failures must be >= 0, got {max_logged_failures}")
     cfg = cfg or DecoderConfig()
-    if pool is None and workers == 1:
-        fold = _Fold(stop, max_logged_failures)
-        decoder = JointBpDecoder.for_code(code, cfg)
-        while not fold.done:  # a fold that is not done has taken every trial so far
-            count = min(_CHUNK, stop.max_trials - fold.trials)
-            fold.add(*_run_trials(code, decoder, p_d, seed, point_index, fold.trials, count))
-    else:
-        with nullcontext(pool) if pool is not None else _pool(
-            code, cfg, workers, stop, seed, [(point_index, p_d)], max_logged_failures
-        ) as lanes:
-            fold = lanes.fold(point_index)
+    with nullcontext(pool) if pool is not None else _pool(
+        code, cfg, workers, stop, seed, [(point_index, p_d)], max_logged_failures
+    ) as lanes:
+        fold = lanes.fold(point_index)
     return fold.result(p_d, code.n)
 
 
@@ -459,10 +500,10 @@ def run_sweep(
     """One :func:`run_point` per grid value, monotone grid required.
 
     Each point gets an independent random stream via its grid index.
-    Every grid value is checked before any trial runs.  With workers > 1
-    all points share one process pool, whose workers build their decoder
-    once per sweep and run one lane each, across the points; the pool is
-    shut down on any exit.
+    Every grid value and the seed are checked before any trial runs.  All
+    points share one set of lanes: this process runs one, and each of
+    workers - 1 forked processes, which inherit the parent's decoder,
+    runs another, across the points; the workers are ended on any exit.
     """
     if len(p_grid) == 0:
         raise ValueError("p_grid must be non-empty")
@@ -475,8 +516,7 @@ def run_sweep(
     cfg = cfg or DecoderConfig()
     workers = _check_workers(workers)
     points = [(i, float(p)) for i, p in enumerate(p_grid)]
-    with (_pool(code, cfg, workers, stop, seed, points, max_logged_failures) if workers > 1
-          else nullcontext()) as lanes:
+    with _pool(code, cfg, workers, stop, seed, points, max_logged_failures) as lanes:
         return [
             run_point(
                 code,

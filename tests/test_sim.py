@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -194,43 +193,30 @@ def test_run_point_chunk_size_never_changes_results(code5, monkeypatch, chunk):
     assert pooled == base
 
 
-class _CountingPool(ProcessPoolExecutor):
-    """Records how many pools a sweep opens, how each is shut down, and
-    how many submitted chunks were still pending (neither started nor
-    cancelled) at shutdown."""
+class _CountingProcess(multiprocessing.Process):
+    """Records every worker process a sweep starts."""
 
-    events: list = []
+    started: list = []
 
-    def __init__(self, *args, **kwargs):
-        self.events.append("open")
-        self.futures = []
-        super().__init__(*args, **kwargs)
-
-    def submit(self, *args, **kwargs):
-        fut = super().submit(*args, **kwargs)
-        self.futures.append(fut)
-        return fut
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        self.events.append(("shutdown", cancel_futures))
-        self.events.append(("pending", sum(not (f.running() or f.done()) for f in self.futures)))
-        super().shutdown(wait, cancel_futures=cancel_futures)
+    def start(self):
+        super().start()
+        self.started.append(self)
 
 
 @pytest.fixture
-def counting_pool(monkeypatch):
-    monkeypatch.setattr(_CountingPool, "events", [])
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _CountingPool)
-    return _CountingPool.events
+def started_workers(monkeypatch):
+    monkeypatch.setattr(_CountingProcess, "started", [])
+    monkeypatch.setattr(multiprocessing, "Process", _CountingProcess)
+    return _CountingProcess.started
 
 
-def test_run_sweep_shares_one_pool_across_points(code5, counting_pool):
-    # Point 0 stops after a few trials, so chunks of it are still queued or
-    # running when point 1 starts on the same pool; none may leak into it.
+def test_run_sweep_shares_one_pool_across_points(code5, started_workers):
+    # Point 0 stops after a few trials, so chunks of it are still decoding
+    # when the lanes move on to point 1; none may leak into it.
     cfg = DecoderConfig(max_iterations=30)
     grid, stop = [0.3, 0.2, 0.1], StopRule(5, 300)
     sweep = run_sweep(code5, grid, stop, seed=3, cfg=cfg, workers=2)
-    assert counting_pool == ["open", ("shutdown", False), ("pending", 0)]
+    assert [p.exitcode for p in started_workers] == [0]
     alone = [
         run_point(code5, p, stop, seed=3, cfg=cfg, workers=1, point_index=i)
         for i, p in enumerate(grid)
@@ -239,8 +225,8 @@ def test_run_sweep_shares_one_pool_across_points(code5, counting_pool):
     assert sweep[0].trials < 50 and sweep[0].frame_errors == 5
 
 
-def test_run_sweep_shuts_pool_down_when_a_point_fails(code5, counting_pool, monkeypatch):
-    # One chunk raises in a worker; the pool still shuts down with every lane finished.
+def test_run_sweep_shuts_pool_down_when_a_point_fails(code5, started_workers, monkeypatch):
+    # One chunk raises, in the parent's lane or a worker's; every worker is still ended.
     real = sim._run_trials
 
     def fails_once(code, decoder, p_d, seed, point_index, start, *args):
@@ -250,15 +236,46 @@ def test_run_sweep_shuts_pool_down_when_a_point_fails(code5, counting_pool, monk
 
     monkeypatch.setattr(sim, "_run_trials", fails_once)  # before the fork, so workers see it
     with pytest.raises(ValueError, match="chunk failed"):
-        run_sweep(code5, [0.1, 0.05, 0.02], StopRule(1000, 300), seed=0, workers=2)
-    assert counting_pool == ["open", ("shutdown", False), ("pending", 0)]
+        run_sweep(code5, [0.1, 0.05, 0.02], StopRule(1000, 300), seed=0, workers=3)
+    assert len(started_workers) == 2 and not any(p.is_alive() for p in started_workers)
+    assert multiprocessing.active_children() == []
 
 
-def test_run_sweep_rejects_a_bad_grid_before_opening_a_pool(code5, counting_pool):
+def test_run_sweep_rejects_a_bad_grid_before_opening_a_pool(code5, started_workers):
     # Points 0 and 1 used to be decoded before point 2 raised.
     with pytest.raises(ValueError, match="p_d"):
         run_sweep(code5, [0.1, 0.5, 1.0], StopRule(1, 30), seed=0, workers=2)
-    assert counting_pool == []
+    assert started_workers == []
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_run_sweep_and_run_point_reject_a_bad_seed_before_any_trial(code5, started_workers,
+                                                                    monkeypatch, seed):
+    # The seed used to be checked by a worker's first chunk, after the fork.
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim, "_run_trials", no_trial)
+    with pytest.raises(ValueError, match="seed"):
+        run_sweep(code5, [0.1, 0.05], StopRule(1, 30), seed=seed, workers=2)
+    with pytest.raises(ValueError, match="seed"):
+        run_point(code5, 0.1, StopRule(1, 30), seed=seed, workers=2)
+    assert started_workers == []
+
+
+def test_one_worker_starts_no_process_and_shares_nothing(code5, monkeypatch):
+    cfg = DecoderConfig(max_iterations=30)
+    grid, stop = [0.3, 0.2], StopRule(5, 300)
+    point = run_point(code5, 0.3, stop, seed=3, cfg=cfg, workers=1)
+    sweep = run_sweep(code5, grid, stop, seed=3, cfg=cfg, workers=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("one worker made a process, pipe, lock or shared array")
+
+    for name in ("Process", "Pipe", "Lock", "Semaphore", "RawArray"):
+        monkeypatch.setattr(multiprocessing, name, refuse)
+    assert run_point(code5, 0.3, stop, seed=3, cfg=cfg, workers=1) == point
+    assert run_sweep(code5, grid, stop, seed=3, cfg=cfg, workers=1) == sweep
 
 
 def _run_script(script, what):
@@ -278,49 +295,91 @@ def _run_script(script, what):
     return out.strip()
 
 
-_UNPICKLABLE_LANE = """
-import pickle
+_UNPICKLABLE = """
+import multiprocessing
 from qcldpc import build_code, builtin_pair_j3_l8, sim
-real = sim._lane
-sim._lane = lambda: real()  # pickle cannot find a lambda by name
-try:
-    sim.run_point(build_code(builtin_pair_j3_l8(), 5), 0.05, sim.StopRule(5, 100), 1, workers=2)
-except pickle.PicklingError:
-    print("PicklingError")
+real = sim._run_trials
+unpicklable_object = lambda: 0  # pickle cannot find a lambda by name
+
+def unpicklable(code, decoder, p_d, seed, point_index, start, *args):
+    chunk = real(code, decoder, p_d, seed, point_index, start, *args)
+    if multiprocessing.parent_process() is None:  # the parent's lane sends nothing
+        return chunk
+    if what == "message":
+        return chunk[0], [unpicklable_object]
+    raise ValueError(unpicklable_object)
+
+sim._run_trials = unpicklable
+for what in ("message", "error"):
+    try:
+        # Enough chunks that the workers claim some before the parent's lane is done.
+        sim.run_point(build_code(builtin_pair_j3_l8(), 5), 0.05, sim.StopRule(1000, 10**5), 1,
+                      workers=2)
+    except Exception as exc:
+        print(type(exc).__name__, exc, len(multiprocessing.active_children()))
 """
 
 
 def test_run_point_raises_when_a_chunk_fails_to_pickle():
-    # The work sent to the pool is the lane task.  Shutting down with
-    # cancel_futures=True after such a failure used to hang forever on
-    # CPython 3.11, with both workers left running.
-    assert _run_script(_UNPICKLABLE_LANE, "a lane failed to pickle") == "PicklingError"
+    # A worker whose chunk fails to pickle sends the error instead; one whose
+    # error fails to pickle too dies, and its pipe reads EOF.
+    out = _run_script(_UNPICKLABLE, "a worker's message failed to pickle").splitlines()
+    assert len(out) == 2 and out[0].startswith("PicklingError ") and out[0].endswith(" 0")
+    assert out[1] == "RuntimeError a worker died, exit code 1 0"
 
 
 _KILLED_WORKER = """
 import multiprocessing, os, signal
-from concurrent.futures.process import BrokenProcessPool
 from qcldpc import build_code, builtin_pair_j3_l8, sim
 real = sim._run_trials
 
 def dies(code, decoder, p_d, seed, point_index, start, *args):
-    if (point_index, start) == (1, 50):
+    if point_index == 1 and multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
     return real(code, decoder, p_d, seed, point_index, start, *args)
 
-sim._run_trials = dies
-try:
-    sim.run_sweep(build_code(builtin_pair_j3_l8(), 5), [0.1, 0.05, 0.02],
-                  sim.StopRule(1000, 500), 1, workers=2)
-except BrokenProcessPool:
-    print("BrokenProcessPool", len(multiprocessing.active_children()))
+real_claim = sim._Board.claim
+
+def dies_holding_the_lock(board, k):
+    if k >= 0 and multiprocessing.parent_process() is not None:
+        board.lock.acquire()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_claim(board, k)
+
+for patch in ("_run_trials", "claim"):
+    if patch == "_run_trials":
+        sim._run_trials = dies
+    else:
+        sim._run_trials, sim._Board.claim = real, dies_holding_the_lock
+    try:
+        # Enough chunks that the workers claim some before the parent's lane is done.
+        sim.run_sweep(build_code(builtin_pair_j3_l8(), 5), [0.1, 0.05, 0.02],
+                      sim.StopRule(1000, 10**5), 1, workers=3)
+    except RuntimeError as exc:
+        print(exc, len(multiprocessing.active_children()))
 """
 
 
 def test_run_sweep_raises_when_a_worker_dies():
-    # The other lane may be decoding or waiting on a lock its dead peer held;
-    # the sweep must raise, not hang, and leave no worker running.
-    assert _run_script(_KILLED_WORKER, "a worker died") == "BrokenProcessPool 0"
+    # A worker killed mid-chunk sends nothing more, and one killed holding the
+    # board's lock leaves every other lane unable to claim; the sweep must
+    # raise, not hang, and leave no worker running.
+    assert (_run_script(_KILLED_WORKER, "a worker died").splitlines()
+            == ["a worker died, exit code -9 0"] * 2)
+
+
+_ONE_CPU = """
+import os
+from qcldpc import sim
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # this process only
+print(sim._check_workers(None))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_default_worker_count_is_the_cpus_this_process_may_use():
+    # It used to be os.cpu_count(), the host's CPUs.
+    assert _run_script(_ONE_CPU, "pinning itself to one CPU") == "1"
 
 
 _LARGE_MESSAGES = """
@@ -457,16 +516,49 @@ class _DoneAfter:
         return int(self.reads > self.left)
 
 
-def test_lane_abandons_a_chunk_whose_point_is_done_while_it_decodes(code5, monkeypatch):
-    monkeypatch.setattr(sim, "_worker", None)
+def test_lane_abandons_a_chunk_whose_point_is_done_while_it_decodes(code5):
     board = sim._Board([(0, 0.3)], seed=3, max_trials=25, workers=2)
     board.done = _DoneAfter(reads=3)  # the claim, then two BP rounds
-    sim._init_worker(code5, DecoderConfig(), board)
-    sim._lane()
-    assert board.done.reads == 4 and board.queue.empty()
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    sim._lane(code5, JointBpDecoder.for_code(code5), board, 0, writer)
+    assert board.done.reads == 4 and list(board.sent) == [1]
+    assert reader.recv() is None and not reader.poll()
     # Not done, the same chunk runs to the iteration cap.
     iterations, _ = sim._run_trials(code5, JointBpDecoder.for_code(code5), 0.3, 3, 0, 0, 25)
     assert max(iterations) == DecoderConfig().max_iterations
+
+
+def test_parents_chunk_is_abandoned_when_a_workers_chunk_stops_its_point(code5, monkeypatch):
+    # The worker holds chunk 0, which fires the stop rule, and sends it once
+    # the parent's lane has claimed chunk 1; that chunk is then abandoned.
+    real, rounds, parents = sim._run_trials, [], []
+    cfg, stop = DecoderConfig(max_iterations=30), StopRule(1, 600)
+
+    def worker(code, decoder, board, i, conn):
+        while board.claimed[0] < 2:
+            time.sleep(0.001)
+        for msg in ((0, 0, *real(code, decoder, 0.3, 4, 0, 0, 25)), None):
+            board.sent[i] += 1
+            conn.send(msg)
+
+    def lane0(code, decoder, p_d, seed, point_index, start, count, stopped=None):
+        def slowed():
+            rounds.append(start)
+            time.sleep(0.01)
+            return stopped()
+
+        parents.append(real(code, decoder, p_d, seed, point_index, start, count, slowed))
+        return parents[-1]
+
+    monkeypatch.setattr(sim, "_lane", worker)
+    monkeypatch.setattr(sim, "_run_trials", lane0)
+    with sim._pool(code5, cfg, 2, stop, 4, [(0, 0.3)], 1000) as lanes:
+        assert lanes.board.claim(-1) == (0, 0)  # for the worker
+        fold = lanes.fold(0)
+    monkeypatch.setattr(sim, "_run_trials", real)
+    assert parents == [([], [])] and 1 <= len(rounds) < cfg.max_iterations
+    assert set(rounds) == {25}
+    assert fold.result(0.3, code5.n) == run_point(code5, 0.3, stop, seed=4, cfg=cfg, workers=1)
 
 
 def test_pooled_run_point_marks_its_point_done_when_it_stops(code5):
@@ -485,16 +577,22 @@ def test_pooled_run_point_marks_its_point_done_when_it_stops(code5):
 def test_a_point_never_has_more_than_its_window_claimed_past_its_fold_head(code5, monkeypatch):
     # The first chunk is slow, so the other lane runs ahead until the window
     # is full, and waits.
-    real, peak = sim._run_trials, multiprocessing.Value("q", 0)
+    real, peak, boards = sim._run_trials, multiprocessing.Value("q", 0), []
+
+    class Board(sim._Board):
+        def __init__(self, *args):
+            super().__init__(*args)
+            boards.append(self)
 
     def slow_first(code, decoder, p_d, seed, point_index, start, *args):
-        board = sim._worker[2]
+        board = boards[0]
         with peak.get_lock():
             peak.value = max(peak.value, board.claimed[0] - board.head[0])
         if start == 0:
             time.sleep(0.5)
         return real(code, decoder, p_d, seed, point_index, start, *args)
 
+    monkeypatch.setattr(sim, "_Board", Board)
     monkeypatch.setattr(sim, "_run_trials", slow_first)  # before the fork, so workers see it
     stop = StopRule(1000, 400)
     pooled = run_sweep(code5, [0.05], stop, seed=6, workers=2)
