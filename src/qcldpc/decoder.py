@@ -32,13 +32,14 @@ H_Z must also have the same shape and row weight, as every built code's
 do, so that decode_batch can stack the two graphs.
 
 :meth:`JointBpDecoder.decode_batch` decodes B frames at once for the Monte
-Carlo driver.  Its messages live in one frame-minor (d, 2, m, B) array
-(edge slot, graph, check, frame): both graphs of every frame update in one
-numpy call per step, each edge slot is one contiguous block, and gathers
-move whole rows.  Most of its iterations run after all but one to four
-frames have stopped, mostly on frames that reach the iteration cap, and at
-such widths numpy's per-call cost outweighs the arithmetic, so an
-iteration makes few calls, on contiguous blocks:
+Carlo driver, into one DecodeOutcome with a leading frame axis.  Its
+messages live in one frame-minor (d, 2, m, B) array (edge slot, graph,
+check, frame): both graphs of every frame update in one numpy call per
+step, each edge slot is one contiguous block, and gathers move whole rows.
+Most of its iterations run after all but one to four frames have stopped,
+mostly on frames that reach the iteration cap, and at such widths numpy's
+per-call cost outweighs the arithmetic, so an iteration makes few calls,
+on contiguous blocks:
 
 * one gather of the per-edge totals feeds both the check update and the
   stopping test: an edge's total is negative exactly where its variable's
@@ -68,9 +69,10 @@ The edge totals are gathered into the spare one of the two message
 buffers, where the check update turns them into the next messages, and
 the variable-side gather and the channel terms share the product stack's
 memory, which they leave before the check update fills it: about 58 kB of
-buffers a frame at n = 200.  When frames stop, the others' columns are
-copied back into C-ordered buffers, since a[:, keep] is F-ordered and
-would make every later call strided.
+buffers a frame at n = 200.  When frames stop, one indexed assignment
+writes their rows of the result, and the others' columns are copied back
+into C-ordered buffers, since a[:, keep] is F-ordered and would make every
+later call strided.
 
 Every sum and product keeps decode's operand order, and every tanh,
 arctanh and logaddexp runs on operands whose inner loop is contiguous as
@@ -129,7 +131,8 @@ class DecodeOutcome:
 
     converged is True only when the estimate reproduces the input
     syndrome exactly; iterations counts completed message-passing
-    rounds (0 when the prior-only decision already matches).
+    rounds (0 when the prior-only decision already matches).  Each field
+    of a decode_batch result has a leading axis of its B frames.
     """
 
     x_hat: np.ndarray
@@ -279,19 +282,17 @@ class JointBpDecoder:
         return v
 
     def decode_batch(self, S, T, p_d: float, *,
-                     stopped: Callable[[], bool] | None = None) -> list[DecodeOutcome]:
+                     stopped: Callable[[], bool] | None = None) -> DecodeOutcome | None:
         """:meth:`decode` of B frames at once, each bit-identical to decode's.
 
         S is (B, rows of H_Z), T is (B, rows of H_X), one frame per row;
-        returns one DecodeOutcome per row.  `stopped`, if given, is called
-        once per message-passing round; when it returns True the batch is
-        abandoned and [] is returned.
+        returns one DecodeOutcome of B rows.  `stopped`, if given, is
+        called once per message-passing round; when it returns True the
+        batch is abandoned and None is returned.
         """
         S = as_bits("S", S, np.shape(S)[:1] + (self.gx.m,))
         T = as_bits("T", T, S.shape[:1] + (self.gz.m,))
         ln_i, ln_x = _log_prior(p_d)[:2]
-        if not len(S):
-            return []
         # ln_x = ln_y = ln_z (depolarizing_prior), so a graph's two channel terms are
         # logaddexp(ln_i, diff) and logaddexp(ln_x, diff), diff = ln_x - other sums.
         ln_a = np.array([ln_i, ln_x]).reshape(2, 1, 1, 1)
@@ -307,15 +308,13 @@ class JointBpDecoder:
         c0 = ch[0] - ch[1] + 0.0
         syn = np.concatenate([S.T, T.T])
         fail = self._ones @ (syn != d * (c0 < 0.0) % 2)
-        outcomes: list[DecodeOutcome | None] = [None] * len(S)
-        for r in range(len(S)) if p_d == 0.0 else np.flatnonzero(~fail):
-            x_hat, z_hat = np.full((2, self.n), c0 < 0.0, np.uint8)
-            outcomes[r] = DecodeOutcome(x_hat, z_hat, not fail[r], 0)
+        res = DecodeOutcome(*np.full((2, len(S), self.n), c0 < 0.0, np.uint8), ~fail,
+                            np.zeros(len(S), int))  # rows that go on are rewritten
         rows = np.flatnonzero(fail)  # each column's frame
         if p_d == 0.0 or not len(rows):
-            return outcomes
+            return res
         if stopped is not None and stopped():
-            return []
+            return None
         # P[k] is the k-fold product of tanh(clip(c0) / 2), in the chain's order, so slot
         # k's excl is P[k] * P[d-1-k]; its message, clip(2 (1 - 2 s) arctanh(excl)) damped
         # against the zero message, is column s of table.
@@ -341,12 +340,13 @@ class JointBpDecoder:
             fail = self._ones @ np.bitwise_xor.reduce(v.par, axis=0)
             last = it == cap
             if last or np.count_nonzero(fail) < len(fail):
-                for r in range(len(fail)) if last else np.flatnonzero(~fail):
-                    x_hat, z_hat = (v.total[:, :, r] < 0.0).astype(np.uint8)
-                    outcomes[rows[r]] = DecodeOutcome(x_hat, z_hat, not fail[r], it)
+                ends = ~fail | last  # the columns whose frames end at this round
+                r = rows[ends]
+                res.x_hat[r], res.z_hat[r] = v.total[:, :, ends].swapaxes(1, 2) < 0.0
+                res.converged[r], res.iterations[r] = ~fail[ends], it
                 keep = np.flatnonzero(fail)
                 if last or not len(keep):
-                    return outcomes
+                    return res
                 # Copy the active columns out and back into C-ordered views for them
                 # (a[:, keep] is F-ordered, and mixed orders make every call strided).
                 rows, syn, msg, t = rows[keep], v.syn[:, keep], v.msg[:, keep], t[:, keep]
@@ -354,7 +354,7 @@ class JointBpDecoder:
                 v.msg[...], v.new[...] = msg, t
                 t = v.new
             if stopped is not None and stopped():
-                return []
+                return None
             # Check update, as in _check_update, from the edge totals in t = v.new.
             np.subtract(t, v.msg, out=t)
             t.clip(-clip, clip, out=t)

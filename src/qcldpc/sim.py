@@ -1,19 +1,19 @@
 """Monte Carlo evaluation: trial orchestration, FER/BER aggregation,
 residual-weight statistics, and the hashing-bound reference threshold.
 
-A trial fails when the residual (estimate + truth) is not a stabilizer,
-i.e. when x_hat + x lies outside the row space of H_X or z_hat + z
-outside the row space of H_Z.  Frame errors drive the FER; the
+A trial fails when BP does not converge or when the residual (estimate
++ truth) is not a stabilizer: x_hat + x outside the row space of H_X or
+z_hat + z outside that of H_Z.  Frame errors drive the FER; the
 bit-error count (positions where either component of the residual is
 set) is a diagnostic recorded on failures only and drives the BER.
 
 Trials are independent work items, keyed by (seed, point index, trial
 index), and run in 25-trial chunks on a sweep's lanes, one per process
 that decodes: the parent's, and one in each worker it forks.  A chunk is
-sampled, decoded as one BP batch and judged as arrays; it returns its
-iteration counts and failed records, which fold in trial order into
-counts, a weight histogram and the first logged failures, so a point's
-memory does not grow with its trials.
+sampled and decoded as arrays, which single out the inexact frames for
+judging; it returns its iteration counts and failed records, which fold
+in trial order into counts, a weight histogram and the first logged
+failures, so a point's memory does not grow with its trials.
 A lane claims chunks from counters the processes share, staying on its
 point until that is done or has no chunk left within 2 x workers chunks of
 the point's fold head, then moving to a point no lane is on, or else the
@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .channel import PauliError, pauli_bits, trial_uniforms
+from .channel import PauliError, _trial_key, pauli_bits, trial_uniforms
 from .codes import QuantumQcCode
 from .decoder import DecodeOutcome, DecoderConfig, JointBpDecoder
 
@@ -146,17 +146,18 @@ def classify(
 ) -> TrialRecord:
     """Judge a decode against the degeneracy-aware success criterion.
 
-    Success iff x_hat + x is in the row space of H_X and z_hat + z in
-    the row space of H_Z (the residual acts trivially on the code
-    space).  On failure, bit_errors counts qubits where either residual
-    component is set, and the residual supports are retained for
-    error-floor analysis.
+    Success iff the decode converged and x_hat + x is in the row space
+    of H_X and z_hat + z in that of H_Z (the residual acts trivially on
+    the code space; unconverged, it misses the syndrome and cannot).  On
+    failure, bit_errors counts qubits where either residual component is
+    set, and the residual supports are retained for error-floor analysis.
     """
     if truth.n != code.n or not (outcome.x_hat.shape == outcome.z_hat.shape == (code.n,)):
         raise ValueError("truth/outcome dimensions do not match the code")
     res_x = truth.x ^ outcome.x_hat
     res_z = truth.z ^ outcome.z_hat
-    success = code.x_stabilizers.contains(res_x) and code.z_stabilizers.contains(res_z)
+    success = (outcome.converged and code.x_stabilizers.contains(res_x)
+               and code.z_stabilizers.contains(res_z))
     return TrialRecord(
         trial_index=trial_index,
         converged=outcome.converged,
@@ -182,24 +183,28 @@ def _run_trials(
 ) -> tuple[list[int], list[TrialRecord]]:
     """Trials start .. start+count-1 as (count, n) arrays, as a fold takes them: each
     trial's BP iteration count, and the records of the failed trials, each equal to
-    trial_rng .. classify of its trial; a zero residual skips the row-space test.
-    `stopped` goes to decode_batch, and a chunk it abandons returns ([], [])."""
+    trial_rng .. classify of its trial; only a nonzero residual is classified, and
+    every count is a Python int.  `stopped` goes to decode_batch, and a chunk it
+    abandons returns ([], [])."""
     trials = range(start, start + count)
     x, z = pauli_bits(trial_uniforms(seed, point_index, trials, code.n), p_d)
     s, t = code.h_z.tanner_graph().check_sums(x), code.h_x.tanner_graph().check_sums(z)
-    outcomes = decoder.decode_batch(s, t, p_d, stopped=stopped)
-    if not outcomes:  # abandoned
+    out = decoder.decode_batch(s, t, p_d, stopped=stopped)
+    if out is None:  # abandoned
         return [], []
-    exact = ~(np.array([(o.x_hat, o.z_hat) for o in outcomes]) ^ np.stack((x, z), 1)).any((1, 2))
-    judged = (classify(code, PauliError(xi, zi), o, trial_index=trial)
-              for trial, xi, zi, o, ok in zip(trials, x, z, outcomes, exact) if not ok)
-    return [o.iterations for o in outcomes], [r for r in judged if not r.success]
+    its, conv = out.iterations.tolist(), out.converged.tolist()
+    judged = [classify(code, PauliError(x[r], z[r]),
+                       DecodeOutcome(out.x_hat[r], out.z_hat[r], conv[r], its[r]), trials[r])
+              for r in np.flatnonzero((out.x_hat ^ x).any(1) | (out.z_hat ^ z).any(1))]
+    return its, [rec for rec in judged if not rec.success]
 
 
 class _Fold:
     """A point's counts, folded from its chunks in trial order."""
 
     def __init__(self, stop: StopRule, max_logged_failures: int):
+        if max_logged_failures < 0:
+            raise ValueError(f"max_logged_failures must be >= 0, got {max_logged_failures}")
         self.stop, self.max_logged_failures = stop, max_logged_failures
         self.trials = self.iterations = self.frame_errors = 0
         self.histogram: dict[int, int] = {}
@@ -244,8 +249,10 @@ class _Board:
 
     def __init__(self, points: Sequence[tuple[int, float]], seed: int, max_trials: int,
                  workers: int):
-        if not 0 <= seed < 2**64:  # the seed is a 64-bit field of the trial key
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        for point_index, p_d in points:  # checked here, before any lane starts
+            _trial_key(seed, point_index, 0)  # the key's seed and point fields
+            if not 0.0 <= p_d < 1.0:
+                raise ValueError(f"p_d must be in [0, 1), got {p_d}")
         self.points, self.seed, self.max_trials = tuple(points), seed, max_trials
         self.chunk = _CHUNK
         self.chunks = -(-max_trials // _CHUNK)
@@ -475,11 +482,7 @@ def run_point(
     this point is done, having decoded and folded chunks of any point
     meanwhile.  Without it, the point opens its own.
     """
-    if not 0.0 <= p_d < 1.0:
-        raise ValueError(f"p_d must be in [0, 1), got {p_d}")
     workers = _check_workers(workers)
-    if max_logged_failures < 0:
-        raise ValueError(f"max_logged_failures must be >= 0, got {max_logged_failures}")
     cfg = cfg or DecoderConfig()
     with nullcontext(pool) if pool is not None else _pool(
         code, cfg, workers, stop, seed, [(point_index, p_d)], max_logged_failures
@@ -507,9 +510,6 @@ def run_sweep(
     """
     if len(p_grid) == 0:
         raise ValueError("p_grid must be non-empty")
-    for p in p_grid:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"p_d must be in [0, 1), got {p}")
     diffs = np.diff(np.asarray(p_grid, dtype=float))
     if len(p_grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("p_grid must be strictly increasing or decreasing")

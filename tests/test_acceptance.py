@@ -137,13 +137,13 @@ def test_criterion_06_convergence_soundness(code25):
                 extract_syndrome(code25, sample_error(code25.n, p_d, trial_rng(606, point, t)))
                 for t in range(lo, min(lo + batch, trials_per_rate))
             ]
-            outs = dec.decode_batch([syn.s for syn in syns], [syn.t for syn in syns], p_d)
-            for syn, out in zip(syns, outs):
-                if not out.converged:
+            out = dec.decode_batch([syn.s for syn in syns], [syn.t for syn in syns], p_d)
+            for r, syn in enumerate(syns):
+                if not out.converged[r]:
                     continue
                 converged_seen += 1
-                ok = np.array_equal(mul_mod2(hz, out.x_hat), syn.s) and np.array_equal(
-                    mul_mod2(hx, out.z_hat), syn.t
+                ok = np.array_equal(mul_mod2(hz, out.x_hat[r]), syn.s) and np.array_equal(
+                    mul_mod2(hx, out.z_hat[r]), syn.t
                 )
                 violations += not ok
     report(

@@ -127,8 +127,27 @@ def test_decode_batch_rejects_mismatched_batches(code25):
         dec.decode_batch([syn.s, syn.s], [syn.t], 0.05)
     with pytest.raises(ValueError, match="^S has shape"):
         dec.decode_batch(syn.s, syn.t, 0.05)  # one frame, not a batch of one
-    assert dec.decode_batch(np.zeros((0, code25.h_z.rows)), np.zeros((0, code25.h_x.rows)),
-                            0.05) == []
+
+
+@pytest.mark.parametrize("frames", [0, 1, 6])
+def test_decode_batch_returns_one_outcome_with_a_leading_frame_axis(code25, frames):
+    dec = JointBpDecoder.for_code(code25)
+    syns = [
+        extract_syndrome(code25, sample_error(code25.n, 0.08, trial_rng(808, 0, t)))
+        for t in range(frames)
+    ]
+    S = np.array([syn.s for syn in syns]).reshape(frames, code25.h_z.rows)
+    T = np.array([syn.t for syn in syns]).reshape(frames, code25.h_x.rows)
+    out = dec.decode_batch(S, T, 0.08)
+    assert isinstance(out, DecodeOutcome)
+    for name, shape, kind in (("x_hat", (frames, code25.n), "u"),
+                              ("z_hat", (frames, code25.n), "u"),
+                              ("converged", (frames,), "b"), ("iterations", (frames,), "i")):
+        a = getattr(out, name)
+        assert isinstance(a, np.ndarray) and a.shape == shape and a.dtype.kind == kind, name
+    assert out.x_hat.dtype == out.z_hat.dtype == np.uint8
+    if frames:  # an abandoned batch gives None, not a partial outcome
+        assert dec.decode_batch(S, T, 0.08, stopped=lambda: True) is None
 
 
 def test_decoder_requires_graphs_of_equal_shape():
@@ -147,14 +166,14 @@ def test_decoder_requires_graphs_of_equal_shape():
 
 
 def assert_batch_matches_decode(dec, syns, p_d, want=None):
-    """decode_batch over syns gives, frame by frame, what decode gives (or `want`)."""
+    """decode_batch over syns gives, row by row, what decode gives (or `want`)."""
     want = want or [dec.decode(syn, p_d) for syn in syns]
     batch = dec.decode_batch([syn.s for syn in syns], [syn.t for syn in syns], p_d)
-    assert len(batch) == len(want)
-    for got, exp in zip(batch, want):
-        assert np.array_equal(got.x_hat, exp.x_hat) and got.x_hat.dtype == exp.x_hat.dtype
-        assert np.array_equal(got.z_hat, exp.z_hat) and got.z_hat.dtype == exp.z_hat.dtype
-        assert (got.converged, got.iterations) == (exp.converged, exp.iterations)
+    assert len(batch.x_hat) == len(want)
+    for r, exp in enumerate(want):
+        assert np.array_equal(batch.x_hat[r], exp.x_hat) and batch.x_hat.dtype == exp.x_hat.dtype
+        assert np.array_equal(batch.z_hat[r], exp.z_hat) and batch.z_hat.dtype == exp.z_hat.dtype
+        assert (batch.converged[r], batch.iterations[r]) == (exp.converged, exp.iterations)
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,7 +312,7 @@ def test_decode_batch_after_an_abandoned_batch(code25):
     want = [dec.decode(syn, 0.08) for syn in syns]
     asked = count()
     assert dec.decode_batch([syn.s for syn in syns[:8]], [syn.t for syn in syns[:8]], 0.08,
-                            stopped=lambda: next(asked) == 5) == []
+                            stopped=lambda: next(asked) == 5) is None
     assert next(asked) == 6  # abandoned at the sixth round's check
     for lo, hi in ((8, 11), (11, 12), (0, 20)):
         assert_batch_matches_decode(dec, syns[lo:hi], 0.08, want[lo:hi])
@@ -309,14 +328,12 @@ def test_decode_batch_asks_stopped_once_per_round(code25):
     want = dec.decode_batch(S, T, 0.06)
     asked = count()
     got = dec.decode_batch(S, T, 0.06, stopped=lambda: next(asked) < 0)  # never stops
-    assert [(o.converged, o.iterations) for o in got] == [
-        (o.converged, o.iterations) for o in want]
-    assert all((a.x_hat == b.x_hat).all() and (a.z_hat == b.z_hat).all()
-               for a, b in zip(got, want))
-    rounds = max(o.iterations for o in want)
+    for name in ("x_hat", "z_hat", "converged", "iterations"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    rounds = want.iterations.max()
     assert rounds >= 3 and next(asked) == rounds
     asked = count()
-    assert dec.decode_batch(S, T, 0.06, stopped=lambda: next(asked) == 2) == []
+    assert dec.decode_batch(S, T, 0.06, stopped=lambda: next(asked) == 2) is None
     assert next(asked) == 3  # abandoned at the third round's check
 
 

@@ -140,6 +140,20 @@ def test_nonconvergence_chain(code25):
     assert checked > 0
 
 
+def test_classify_fails_an_unconverged_outcome_whose_residual_is_a_stabilizer(code5):
+    # Convergence is decided first: no decoder reports such an outcome (its
+    # estimate would reproduce the syndrome), but one built by hand still fails.
+    e = random_error(code5.n, 0.2, 6)
+    stab = dense_view(code5.h_x)[0].astype(np.uint8)
+    for res_x in (np.zeros_like(stab), stab):
+        assert code5.x_stabilizers.contains(res_x)
+        assert classify(code5, e, outcome_from(e.x ^ res_x, e.z)).success
+        rec = classify(code5, e, outcome_from(e.x ^ res_x, e.z, converged=False, iterations=7))
+        assert not rec.success and not rec.converged and rec.iterations == 7
+        assert rec.bit_errors == int(res_x.sum())
+        assert rec.residual_x_support == tuple(np.flatnonzero(res_x).tolist())
+
+
 # ---------------------------------------------------------------------------
 # run_point / run_sweep
 
@@ -260,6 +274,25 @@ def test_run_sweep_and_run_point_reject_a_bad_seed_before_any_trial(code5, start
         run_sweep(code5, [0.1, 0.05], StopRule(1, 30), seed=seed, workers=2)
     with pytest.raises(ValueError, match="seed"):
         run_point(code5, 0.1, StopRule(1, 30), seed=seed, workers=2)
+    assert started_workers == []
+
+
+@pytest.mark.parametrize("bad, match", [({"max_logged_failures": -1}, "max_logged_failures"),
+                                        ({"point_index": 2**32}, "point index"),
+                                        ({"point_index": -1}, "point index")])
+def test_run_sweep_and_run_point_reject_a_bad_cap_or_point_index_before_any_lane(
+        code5, started_workers, monkeypatch, bad, match):
+    # A sweep used to start its worker before run_point checked the cap, and
+    # a bad point index came back from a worker's first chunk.
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim, "_run_trials", no_trial)
+    if "max_logged_failures" in bad:  # run_sweep numbers its own points
+        with pytest.raises(ValueError, match=match):
+            run_sweep(code5, [0.1, 0.05], StopRule(1, 30), seed=0, workers=2, **bad)
+    with pytest.raises(ValueError, match=match):
+        run_point(code5, 0.1, StopRule(1, 30), seed=0, workers=2, **bad)
     assert started_workers == []
 
 
@@ -475,7 +508,7 @@ class _ShiftedByStabilizer:
         return self.shifted(self.decoder.decode(syn, p_d))
 
     def decode_batch(self, S, T, p_d, stopped=None):
-        return [self.shifted(o) for o in self.decoder.decode_batch(S, T, p_d, stopped=stopped)]
+        return self.shifted(self.decoder.decode_batch(S, T, p_d, stopped=stopped))
 
 
 def test_run_trials_judges_degenerate_residuals_as_successes():
@@ -484,6 +517,53 @@ def test_run_trials_judges_degenerate_residuals_as_successes():
     records = chain(code, shifted, 0.05, 4, 0, range(25))
     assert sim._run_trials(code, shifted, 0.05, 4, 0, 0, 25) == folded(records)
     assert any(r.success and r.residual_weight_x == code.L for r in records)
+
+
+_DEFAULT25 = _CHAIN[25][0], JointBpDecoder.for_code(_CHAIN[25][0])
+
+
+# Keyed P = 25 chunks (seed, point, start, p_d) at the default iteration cap: mostly
+# capped frames at 0.08, and at 0.06 and 0.05 the chunks that hold the converged
+# failures of trials 767 and 359 of the sweep at seed 3 over 0.08, 0.06, 0.05, 0.04.
+_JUDGED_CHUNKS = [(3, 0, 0, 0.08), (3, 1, 750, 0.06), (3, 2, 350, 0.05)]
+
+
+def test_chunk_judging_puts_convergence_first_on_keyed_chunks():
+    # Every unconverged frame fails, and every converged estimate reproduces its syndrome.
+    code, decoder = _DEFAULT25
+    hx, hz = dense_view(code.h_x), dense_view(code.h_z)
+    unconverged = converged_failures = 0
+    for seed, point, start, p_d in _JUDGED_CHUNKS:
+        trials = range(start, start + 25)
+        syns = [extract_syndrome(code, sample_error(code.n, p_d, trial_rng(seed, point, t)))
+                for t in trials]
+        out = decoder.decode_batch([syn.s for syn in syns], [syn.t for syn in syns], p_d)
+        failed = {rec.trial_index: rec
+                  for rec in sim._run_trials(code, decoder, p_d, seed, point, start, 25)[1]}
+        for r, (t, syn) in enumerate(zip(trials, syns)):
+            if not out.converged[r]:
+                unconverged += 1
+                assert t in failed and not failed[t].converged
+                continue
+            assert np.array_equal(mul_mod2(hz, out.x_hat[r]), syn.s)
+            assert np.array_equal(mul_mod2(hx, out.z_hat[r]), syn.t)
+            converged_failures += t in failed
+    assert unconverged >= 1 and converged_failures >= 1  # 6 and 2 with numpy 2.4 on x86-64
+
+
+def test_run_trials_gives_python_ints():
+    # Equality cannot tell 3 from np.int64(3), but json.dumps and repr can.
+    for code, decoder, p_d in (_CHAIN[5] + (0.3,), _DEFAULT25 + (0.06,)):
+        iterations, failures = sim._run_trials(code, decoder, p_d, 3, 1, 750, 25)
+        assert len(iterations) == 25 and all(type(v) is int for v in iterations)
+        assert failures
+        for rec in failures:
+            assert type(rec.converged) is bool and type(rec.success) is bool
+            for name in ("trial_index", "bit_errors", "residual_weight_x",
+                         "residual_weight_z", "iterations"):
+                assert type(getattr(rec, name)) is int, name
+            supports = rec.residual_x_support + rec.residual_z_support
+            assert all(type(v) is int for v in supports)
 
 
 def test_board_never_claims_a_done_points_chunks():
