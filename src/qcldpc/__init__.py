@@ -1,90 +1,16 @@
 """Quantum quasi-cyclic LDPC codes: construction from circulant exponent
 matrices, joint belief-propagation syndrome decoding on the depolarizing
-channel, and parallel Monte Carlo FER/BER evaluation."""
+channel, and parallel Monte Carlo FER/BER evaluation.
+
+The package re-exports each library module's `__all__`, in module order."""
 
 __version__ = "0.1.0"
 
-from .channel import (
-    JointPrior,
-    PauliError,
-    Syndrome,
-    depolarizing_prior,
-    extract_syndrome,
-    sample_error,
-    trial_rng,
-)
-from .codes import (
-    CodeReport,
-    CodeValidationError,
-    ExponentMatrix,
-    ExponentPairParseError,
-    QuantumQcCode,
-    ScanResult,
-    build_code,
-    builtin_pair_j3_l8,
-    code_report,
-    design_rate,
-    dump_pair,
-    expand_exponent_matrix,
-    load_pair,
-    measured_rate,
-    scan_p,
-)
-from .decoder import DecodeOutcome, DecoderConfig, JointBpDecoder
-from .gf2 import RowSpace, SparseBinaryMatrix, girth
-from .sim import (
-    PointResult,
-    StopRule,
-    TrialRecord,
-    classify,
-    floor_statistics,
-    hashing_bound_threshold,
-    read_failure_log,
-    run_point,
-    run_sweep,
-    wilson_interval,
-    write_failure_log,
-)
+from . import channel, codes, decoder, gf2, sim
+from .channel import *  # noqa: F401,F403
+from .codes import *  # noqa: F401,F403
+from .decoder import *  # noqa: F401,F403
+from .gf2 import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "JointPrior",
-    "PauliError",
-    "Syndrome",
-    "depolarizing_prior",
-    "extract_syndrome",
-    "sample_error",
-    "trial_rng",
-    "CodeReport",
-    "CodeValidationError",
-    "ExponentMatrix",
-    "ExponentPairParseError",
-    "QuantumQcCode",
-    "ScanResult",
-    "build_code",
-    "builtin_pair_j3_l8",
-    "code_report",
-    "design_rate",
-    "dump_pair",
-    "expand_exponent_matrix",
-    "load_pair",
-    "measured_rate",
-    "scan_p",
-    "DecodeOutcome",
-    "DecoderConfig",
-    "JointBpDecoder",
-    "RowSpace",
-    "SparseBinaryMatrix",
-    "girth",
-    "PointResult",
-    "StopRule",
-    "TrialRecord",
-    "classify",
-    "floor_statistics",
-    "hashing_bound_threshold",
-    "read_failure_log",
-    "run_point",
-    "run_sweep",
-    "wilson_interval",
-    "write_failure_log",
-]
+__all__ = ["__version__", *(n for m in (channel, codes, decoder, gf2, sim) for n in m.__all__)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import QuantumQcCode
-from .gf2 import as_bits
+from .gf2 import as_bits, as_int
 
 __all__ = [
     "PauliError",
@@ -23,6 +23,8 @@ __all__ = [
     "sample_error",
     "extract_syndrome",
     "trial_rng",
+    "trial_uniforms",
+    "pauli_bits",
 ]
 
 
@@ -74,13 +76,16 @@ def depolarizing_prior(p_d: float) -> JointPrior:
 
 
 def _trial_key(seed: int, point_index: int, trial_index: int) -> np.ndarray:
-    """Philox key [seed, point << 32 | trial]; a field out of range raises ValueError."""
+    """Philox key [seed, point << 32 | trial]; a field that is not an integer, or
+    is out of range, raises ValueError."""
+    seed, point, trial = (as_int("seed", seed), as_int("point index", point_index),
+                          as_int("trial index", trial_index))
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    for name, index in (("point index", point_index), ("trial index", trial_index)):
+    for name, index in (("point index", point), ("trial index", trial)):
         if not 0 <= index < 2**32:
             raise ValueError(f"{name} must be in [0, 2**32), got {index}")
-    return np.array([seed, (point_index << 32) | trial_index], dtype=np.uint64)
+    return np.array([seed, (point << 32) | trial], dtype=np.uint64)
 
 
 def trial_rng(seed: int, point_index: int, trial_index: int) -> np.random.Generator:

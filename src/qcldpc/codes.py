@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf2 import RowSpace, SparseBinaryMatrix, girth
+from .gf2 import RowSpace, SparseBinaryMatrix, as_int, girth
 
 __all__ = [
     "ExponentMatrix",
@@ -64,7 +64,7 @@ class ExponentMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "ExponentMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(as_int("exponent", x) for x in row) for row in rows))
 
     @property
     def J(self) -> int:

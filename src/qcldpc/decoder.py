@@ -93,7 +93,7 @@ import numpy as np
 
 from .channel import Syndrome, depolarizing_prior
 from .codes import QuantumQcCode
-from .gf2 import SparseBinaryMatrix, as_bits
+from .gf2 import SparseBinaryMatrix, as_bits, as_int
 
 __all__ = ["DecoderConfig", "DecodeOutcome", "JointBpDecoder"]
 
@@ -117,7 +117,7 @@ class DecoderConfig:
     damping: float = 0.0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        if as_int("max_iterations", self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.llr_clip > 0:
             raise ValueError("llr_clip must be positive")

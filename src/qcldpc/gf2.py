@@ -35,6 +35,13 @@ def as_bits(name: str, v, shape: tuple[int, ...]) -> np.ndarray:
     return v.astype(np.uint8)
 
 
+def as_int(name: str, v) -> int:
+    """`v` as a Python int; a bool, a float or any other non-integer raises ValueError."""
+    if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def pack_bits(v: np.ndarray) -> int:
     """Pack a {0,1} vector into a Python int (bit i = v[i]); other entries raise ValueError."""
     v = as_bits("v", v, np.shape(v))

@@ -16,7 +16,8 @@ in trial order into counts, a weight histogram and the first logged
 failures, so a point's memory does not grow with its trials.
 A lane claims chunks from counters the processes share, staying on its
 point until that is done or has no chunk left within 2 x workers chunks of
-the point's fold head, then moving to a point no lane is on, or else the
+the point's fold head, then moving to the first point with no chunk claimed
+but not yet folded (its claim counter equal to its fold head), or else the
 first with chunks left.  The parent folds every point's chunks, its own as
 it decodes them and the workers' from their pipes, which it reads between
 its chunks and at each BP round, and marks a point done once its rule
@@ -43,6 +44,7 @@ import numpy as np
 from .channel import PauliError, _trial_key, pauli_bits, trial_uniforms
 from .codes import QuantumQcCode
 from .decoder import DecodeOutcome, DecoderConfig, JointBpDecoder
+from .gf2 import as_int
 
 __all__ = [
     "TrialRecord",
@@ -89,7 +91,8 @@ class StopRule:
 
     def __post_init__(self):
         # Trial indices are 32-bit fields of the trial key (see trial_rng).
-        if not (self.min_frame_errors >= 1 and 1 <= self.max_trials <= 2**32):
+        if not (as_int("min_frame_errors", self.min_frame_errors) >= 1
+                and 1 <= as_int("max_trials", self.max_trials) <= 2**32):
             raise ValueError("stopping rule bounds must be >= 1, max_trials <= 2**32")
 
 
@@ -240,8 +243,9 @@ class _Board:
     """What a sweep's lanes share: the parent's and those of the workers it forks.
 
     `points` holds the sweep's (point_index, p_d) pairs, one slot each.  Per slot,
-    `claimed` counts the chunks handed out and `on` the lanes on it, both changed
-    under `lock`; `head` (chunks folded) and `done` are written by the parent only.
+    `claimed` counts the chunks handed out, changed under `lock`; `head` (chunks
+    folded) and `done` are written by the parent only.  A slot whose claimed chunks
+    are all folded (`claimed == head`) has no lane decoding one of its chunks.
     Worker i bumps `sent[i]` before each message it sends the parent, and waits on
     `wake`, which the parent releases once per chunk it folds.  With no worker,
     these are plain lists and thread primitives.
@@ -258,7 +262,7 @@ class _Board:
         self.chunks = -(-max_trials // _CHUNK)
         self.window = 2 * workers  # chunks a point may have claimed past its fold head
         array = lambda n: [0] * n if workers == 1 else multiprocessing.RawArray("q", n)
-        self.claimed, self.on, self.head, self.done = (array(len(self.points)) for _ in range(4))
+        self.claimed, self.head, self.done = (array(len(self.points)) for _ in range(3))
         self.sent = array(workers - 1)
         sync = threading if workers == 1 else multiprocessing
         self.lock, self.wake = sync.Lock(), sync.Semaphore(0)
@@ -267,24 +271,21 @@ class _Board:
         """The next (slot, chunk) for a lane on slot k (-1 for none).
 
         The lane stays on k while it has a chunk within its window, else
-        moves to a slot no lane is on, else to the first with one.  Slot
-        -1 means every slot with chunks left has its window full; None
-        means no slot has chunks left.
+        moves to the first slot with room whose claimed chunks are all
+        folded, else to the first with room.  Slot -1 means every slot with
+        chunks left has its window full; None means no slot has chunks left.
         """
-        claimed, on, head, done = self.claimed, self.on, self.head, self.done
+        claimed, head, done = self.claimed, self.head, self.done
         if not self.lock.acquire(timeout=1.0):  # its holder may have died: let the parent see
             return -1, 0
         try:
-            if k >= 0:
-                on[k] -= 1
             left = [j for j in range(len(self.points)) if claimed[j] < self.chunks and not done[j]]
             if not left:
                 return None
             free = [j for j in left if claimed[j] < head[j] + self.window]
             if not free:
                 return -1, 0
-            j = k if k in free else next((j for j in free if not on[j]), free[0])
-            on[j] += 1
+            j = k if k in free else next((j for j in free if claimed[j] == head[j]), free[0])
             claimed[j] += 1
             return j, claimed[j] - 1
         finally:

@@ -113,6 +113,24 @@ def test_trial_rng_rejects_keys_that_would_wrap(key):
 
 
 @pytest.mark.parametrize(
+    "field, key",
+    [("seed", (1.5, 0, 0)), ("seed", (True, 0, 0)), ("point index", (0, 1.0, 0)),
+     ("point index", (0, np.bool_(True), 0)), ("trial index", (0, 0, 2.0))],
+)
+def test_trial_rng_rejects_keys_that_are_not_integers(field, key):
+    # Seed 1.5 used to draw seed 1's stream, and a float index raised TypeError.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        trial_rng(*key)
+
+
+def test_trial_rng_keys_numpy_integers_as_python_ones():
+    # np.int32(3) << 32 is 0: the point must widen before it shifts.
+    want = trial_rng(9, 3, 17).random(8)
+    assert np.array_equal(trial_rng(np.uint64(9), np.int32(3), np.int64(17)).random(8), want)
+    assert np.array_equal(trial_uniforms(np.uint64(9), np.int32(3), range(17, 18), 8)[0], want)
+
+
+@pytest.mark.parametrize(
     "seed, point, trials",
     [(9, 3, range(17, 42)), (0, 0, range(1)), (2**64 - 1, 2**32 - 1, range(2**32 - 5, 2**32))],
 )

@@ -234,6 +234,15 @@ def test_measured_rate_p21_exact(pair):
     assert Fraction(1, 4) <= measured_rate(code) < 1
 
 
+@pytest.mark.parametrize("bad", [1.7, 2.0, True, np.float64(1.0)])
+def test_exponent_rows_reject_entries_that_are_not_integers(bad):
+    # 1.7 used to be truncated to shift 1.
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        ExponentMatrix.from_rows([[bad, 2]])
+    rows = ExponentMatrix.from_rows(np.array([[1, 2]])).entries
+    assert rows == ((1, 2),) and type(rows[0][0]) is int
+
+
 def test_measured_rate_full_rank_case():
     # A pair whose matrices are full rank: rate equals the design rate.
     e = ExponentMatrix.from_rows([[0, 0]])

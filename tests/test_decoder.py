@@ -50,10 +50,12 @@ def test_config_defaults():
         {"llr_clip": -1.0},
         {"damping": 1.0},
         {"damping": -0.1},
+        {"max_iterations": 2.5},  # used to raise TypeError in the middle of a decode
+        {"max_iterations": True},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         DecoderConfig(**kwargs)
 
 

@@ -262,10 +262,11 @@ def test_run_sweep_rejects_a_bad_grid_before_opening_a_pool(code5, started_worke
     assert started_workers == []
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_run_sweep_and_run_point_reject_a_bad_seed_before_any_trial(code5, started_workers,
                                                                     monkeypatch, seed):
-    # The seed used to be checked by a worker's first chunk, after the fork.
+    # The seed used to be checked by a worker's first chunk, after the fork,
+    # and seed 1.5 ran seed 1's streams.
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
@@ -279,11 +280,14 @@ def test_run_sweep_and_run_point_reject_a_bad_seed_before_any_trial(code5, start
 
 @pytest.mark.parametrize("bad, match", [({"max_logged_failures": -1}, "max_logged_failures"),
                                         ({"point_index": 2**32}, "point index"),
-                                        ({"point_index": -1}, "point index")])
+                                        ({"point_index": -1}, "point index"),
+                                        ({"point_index": 1.0}, "point index"),
+                                        ({"point_index": True}, "point index")])
 def test_run_sweep_and_run_point_reject_a_bad_cap_or_point_index_before_any_lane(
         code5, started_workers, monkeypatch, bad, match):
     # A sweep used to start its worker before run_point checked the cap, and
-    # a bad point index came back from a worker's first chunk.
+    # a bad point index came back from a worker's first chunk (a float one as
+    # a TypeError).
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
@@ -571,9 +575,9 @@ def test_board_never_claims_a_done_points_chunks():
     board = sim._Board([(0, 0.1), (1, 0.1), (2, 0.1)], seed=0, max_trials=100, workers=1)
     assert (board.chunks, board.window) == (4, 2)
     assert board.claim(-1) == (0, 0)  # a: the first point
-    assert board.claim(-1) == (1, 0)  # b: a point no lane is on
+    assert board.claim(-1) == (1, 0)  # b: a point with no chunk claimed but not folded
     board.done[0] = 1
-    assert board.claim(0) == (2, 0)  # a: off the done point, to the one no lane is on
+    assert board.claim(0) == (2, 0)  # a: off the done point, to the one with none unfolded
     assert board.claim(1) == (1, 1)  # b: stays on its point
     assert board.claim(1) == (2, 1)  # b: its window full, the first point with a chunk left
     board.head[1] = 1
@@ -581,7 +585,18 @@ def test_board_never_claims_a_done_points_chunks():
     assert board.claim(2) == (-1, 0)  # a: every window full, so it waits
     board.done[1] = board.done[2] = 1
     assert board.claim(-1) is None  # a: nothing left, so it exits
-    assert list(board.claimed) == [1, 3, 2] and list(board.on) == [0, 1, 0]
+    assert list(board.claimed) == [1, 3, 2]
+
+
+@pytest.mark.parametrize("folded, to", [(False, 2), (True, 0)])
+def test_board_moves_a_lane_to_a_point_whose_claimed_chunks_are_all_folded(folded, to):
+    # Lane a holds point 0's one claimed chunk; lane b fills its window on
+    # point 1 and moves.  Once a's chunk is folded, point 0 counts as having
+    # no lane on it, though a has not claimed again, and comes first.
+    board = sim._Board([(0, 0.1), (1, 0.1), (2, 0.1)], seed=0, max_trials=100, workers=1)
+    assert [board.claim(-1), board.claim(-1), board.claim(1)] == [(0, 0), (1, 0), (1, 1)]
+    board.head[0] = int(folded)
+    assert board.claim(1) == (to, int(folded))
 
 
 class _DoneAfter:
@@ -748,6 +763,16 @@ def test_stop_rule_caps_trials_at_the_key_width():
     assert StopRule(1, 2**32).max_trials == 2**32
     with pytest.raises(ValueError, match="2\\*\\*32"):
         StopRule(1, 2**32 + 1)
+
+
+@pytest.mark.parametrize("kwargs", [{"min_frame_errors": 2.5}, {"min_frame_errors": True},
+                                    {"max_trials": 50.5}, {"max_trials": 50.0}])
+def test_stop_rule_rejects_bounds_that_are_not_integers(kwargs):
+    # StopRule(2.5, 50) used to stop at 3 failures, and a float max_trials
+    # raised TypeError inside the first chunk.
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be an integer"):
+        StopRule(**{"min_frame_errors": 5, "max_trials": 50, **kwargs})
+    assert StopRule(np.int64(5), np.uint32(50)).max_trials == 50
 
 
 @pytest.mark.parametrize("workers", [1, 2])
