@@ -1,9 +1,11 @@
-"""Depolarizing-channel sampling, prior tables, and syndrome extraction.
+"""Depolarizing-channel sampling and syndrome extraction.
 
 Pauli errors are symplectic bit-vector pairs (x, z): X sets the x bit,
-Z sets the z bit, Y sets both.  Randomness comes from a counter-based
-generator keyed by (seed, point index, trial index), so every trial's
-outcome is independent of worker scheduling.
+Z sets the z bit, Y sets both.  A qubit is untouched with probability
+1 - p and carries X, Y or Z at the single rate p/3 each, so either
+component flips with probability 2p/3.  Randomness comes from a
+counter-based generator keyed by (seed, point index, trial index), so
+every trial's outcome is independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from .gf2 import as_bits, as_int
 
 __all__ = [
     "PauliError",
-    "JointPrior",
     "Syndrome",
-    "depolarizing_prior",
     "sample_error",
     "extract_syndrome",
     "trial_rng",
@@ -47,32 +47,11 @@ class PauliError:
 
 
 @dataclass(frozen=True)
-class JointPrior:
-    """Per-qubit probabilities of I, X, Z, Y."""
-
-    p_ii: float
-    p_x: float
-    p_z: float
-    p_y: float
-
-
-@dataclass(frozen=True)
 class Syndrome:
     """Observed pair (s, t) = (H_Z @ x, H_X @ z)."""
 
     s: np.ndarray
     t: np.ndarray
-
-
-def depolarizing_prior(p_d: float) -> JointPrior:
-    """Prior table (1 - p, p/3, p/3, p/3) for depolarizing rate p.
-
-    The marginal flip probability of either component is 2p/3.
-    """
-    if not 0.0 <= p_d <= 1.0:
-        raise ValueError(f"depolarizing rate must be in [0, 1], got {p_d}")
-    q = p_d / 3.0
-    return JointPrior(p_ii=1.0 - p_d, p_x=q, p_z=q, p_y=q)
 
 
 def _trial_key(seed: int, point_index: int, trial_index: int) -> np.ndarray:

@@ -28,13 +28,13 @@ from .codes import (
     ExponentPairParseError,
     build_code,
     builtin_pair_j3_l8,
-    code_report,
     design_rate,
     load_pair,
     measured_rate,
     scan_p,
 )
 from .decoder import DecoderConfig
+from .gf2 import girth
 from .sim import (
     StopRule,
     floor_statistics,
@@ -191,14 +191,12 @@ def cmd_code(args: argparse.Namespace) -> int:
             print("# no girth-6 size in range")
         return 0
     code = build_code(pair, args.p)
-    rep = code_report(code)
-    print(f"J={rep.J} L={rep.L} P={rep.P} n={rep.n}")
-    print(f"girth_x={rep.girth_x} girth_z={rep.girth_z}")
-    print(
-        f"measured_rate={rep.measured_rate} ({float(rep.measured_rate):.6f})"
-    )
-    print(f"design_rate={rep.design_rate} ({float(rep.design_rate):.6f})")
-    print(f"orthogonal=yes column_weight={rep.J} row_weight={rep.L}")
+    rate, design = measured_rate(code), design_rate(code.J, code.L)
+    print(f"J={code.J} L={code.L} P={code.P} n={code.n}")
+    print(f"girth_x={girth(code.h_x)} girth_z={girth(code.h_z)}")
+    print(f"measured_rate={rate} ({float(rate):.6f})")
+    print(f"design_rate={design} ({float(design):.6f})")
+    print(f"orthogonal=yes column_weight={code.J} row_weight={code.L}")
     return 0
 
 

@@ -25,7 +25,6 @@ from .gf2 import RowSpace, SparseBinaryMatrix, as_int, girth
 __all__ = [
     "ExponentMatrix",
     "QuantumQcCode",
-    "CodeReport",
     "ScanResult",
     "CodeValidationError",
     "ExponentPairParseError",
@@ -36,7 +35,6 @@ __all__ = [
     "build_code",
     "design_rate",
     "measured_rate",
-    "code_report",
     "scan_p",
 ]
 
@@ -51,20 +49,23 @@ class ExponentPairParseError(ValueError):
 
 @dataclass(frozen=True)
 class ExponentMatrix:
-    """J x L integer matrix of circulant shifts for one parity-check factor."""
+    """J x L integer matrix of circulant shifts for one parity-check factor.
+
+    Built from any iterable of integer rows, numpy arrays included; the
+    entries are kept as tuples of Python ints.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+        # A float or bool is refused: a float shift would be truncated at expansion.
+        entries = tuple(tuple(as_int("exponent", x) for x in row) for row in self.entries)
+        if not entries or not entries[0]:
             raise ValueError("exponent matrix must be non-empty")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise ValueError("exponent matrix rows have unequal lengths")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "ExponentMatrix":
-        return cls(tuple(tuple(as_int("exponent", x) for x in row) for row in rows))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def J(self) -> int:
@@ -83,14 +84,14 @@ def builtin_pair_j3_l8() -> tuple[ExponentMatrix, ExponentMatrix]:
     cancel mod 2 after expansion; the pair is therefore orthogonal for
     every circulant size P.
     """
-    e_x = ExponentMatrix.from_rows(
+    e_x = ExponentMatrix(
         [
             [1, 2, 4, 8, 16, 32, 64, 128],
             [8, 1, 2, 4, 128, 16, 32, 64],
             [4, 8, 1, 2, 64, 128, 16, 32],
         ]
     )
-    e_z = ExponentMatrix.from_rows(
+    e_z = ExponentMatrix(
         [
             [-16, -128, -64, -32, -1, -8, -4, -2],
             [-32, -16, -128, -64, -2, -1, -8, -4],
@@ -146,7 +147,7 @@ def load_pair(path) -> tuple[ExponentMatrix, ExponentMatrix]:
             raise ExponentPairParseError(
                 f"{name}: expected {J} rows, file ended after {len(rows)}"
             )
-        return ExponentMatrix.from_rows(rows)
+        return ExponentMatrix(rows)
 
     e_x = read_matrix("first matrix", content[1 : J + 1])
     e_z = read_matrix("second matrix", content[J + 1 : 2 * J + 1])
@@ -172,6 +173,7 @@ def expand_exponent_matrix(em: ExponentMatrix, P: int) -> SparseBinaryMatrix:
     entries[j][l] mod P: block row i has its 1 at block column
     (i + shift) mod P.
     """
+    P = as_int("circulant size", P)
     if P < 1:
         raise ValueError(f"circulant size must be >= 1, got {P}")
     shifts = np.array([[shift % P for shift in row] for row in em.entries], dtype=np.int64)
@@ -224,6 +226,18 @@ def _check_orthogonal(e_x: ExponentMatrix, e_z: ExponentMatrix, P: int):
     return None
 
 
+def _circulant_size(pair: tuple[ExponentMatrix, ExponentMatrix], P: int) -> int:
+    """P as an int, after checking that the pair's shapes agree and that P >= 2."""
+    e_x, e_z = pair
+    if (e_x.J, e_x.L) != (e_z.J, e_z.L):
+        raise ValueError(f"exponent matrices disagree in shape: "
+                         f"{e_x.J}x{e_x.L} vs {e_z.J}x{e_z.L}")
+    P = as_int("circulant size", P)
+    if P < 2:
+        raise ValueError(f"circulant size must be >= 2, got {P}")
+    return P
+
+
 def build_code(pair: tuple[ExponentMatrix, ExponentMatrix], P: int) -> QuantumQcCode:
     """Expand an exponent pair at circulant size P and validate the result.
 
@@ -239,16 +253,10 @@ def build_code(pair: tuple[ExponentMatrix, ExponentMatrix], P: int) -> QuantumQc
 
     Raises:
         CodeValidationError: On an orthogonality or weight violation.
-        ValueError: On shape mismatch or P < 2.
+        ValueError: On shape mismatch, or P not an integer >= 2.
     """
+    P = _circulant_size(pair, P)
     e_x, e_z = pair
-    if (e_x.J, e_x.L) != (e_z.J, e_z.L):
-        raise ValueError(
-            f"exponent matrices disagree in shape: "
-            f"{e_x.J}x{e_x.L} vs {e_z.J}x{e_z.L}"
-        )
-    if P < 2:
-        raise ValueError(f"circulant size must be >= 2, got {P}")
     J, L = e_x.J, e_x.L
     h_x = expand_exponent_matrix(e_x, P)
     h_z = expand_exponent_matrix(e_z, P)
@@ -289,34 +297,6 @@ def measured_rate(code: QuantumQcCode) -> Fraction:
 
 
 @dataclass(frozen=True)
-class CodeReport:
-    """Summary record for CLI display."""
-
-    J: int
-    L: int
-    P: int
-    n: int
-    girth_x: float
-    girth_z: float
-    measured_rate: Fraction
-    design_rate: Fraction
-
-
-def code_report(code: QuantumQcCode) -> CodeReport:
-    """Collect dimensions, girths, and rates of a validated code."""
-    return CodeReport(
-        J=code.J,
-        L=code.L,
-        P=code.P,
-        n=code.n,
-        girth_x=girth(code.h_x),
-        girth_z=girth(code.h_z),
-        measured_rate=measured_rate(code),
-        design_rate=design_rate(code.J, code.L),
-    )
-
-
-@dataclass(frozen=True)
 class ScanResult:
     """Outcome of probing one circulant size P."""
 
@@ -339,11 +319,8 @@ def scan_p(
     size that reaches girth 6 on both matrices.
     """
     e_x, e_z = pair
-    if (e_x.J, e_x.L) != (e_z.J, e_z.L):
-        raise ValueError("exponent matrices disagree in shape")
     for P in p_values:
-        if P < 2:
-            raise ValueError(f"circulant size must be >= 2, got {P}")
+        P = _circulant_size(pair, P)
         yield ScanResult(
             P=P,
             orthogonal=_check_orthogonal(e_x, e_z, P) is None,

@@ -15,7 +15,8 @@ Message rules (flooding schedule, LLR convention L = ln(P(0)/P(1))):
   the sum of all check messages into the variable on its own graph and
   lam is the coupled channel term
       lam_x = ln[(p_I + p_Z e^(-Lambda_z)) / (p_X + p_Y e^(-Lambda_z))]
-  (symmetrically for z), evaluated with log-sum-exp;
+  (symmetrically for z), evaluated with log-sum-exp; on the depolarizing
+  channel p_I = 1 - p_d and p_X = p_Y = p_Z = p_d / 3;
 * hard decision:  bit = 1 iff lam + Lambda < 0, ties to 0.
 
 The decoder checks the recomputed syndrome after every hard decision,
@@ -49,7 +50,7 @@ on contiguous blocks:
   multiplies over a slot-major (d + 1, 2, 2m, B) stack, whose row k + 1
   holds slot k's tanh and, reversed, slot d-1-k's, so each multiply covers
   both directions and both graphs in one contiguous block;
-* depolarizing_prior gives X, Y and Z one rate, so ln p_X = ln p_Y = ln p_Z
+* X, Y and Z have one rate, so ln p_X stands for ln p_Y and ln p_Z,
   and both channel terms of a graph share one difference, ln p_X minus the
   other graph's sums;
 * the atanh guard is skipped when it cannot bind: every |t| is at most
@@ -91,7 +92,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import Syndrome, depolarizing_prior
+from .channel import Syndrome
 from .codes import QuantumQcCode
 from .gf2 import SparseBinaryMatrix, as_bits, as_int
 
@@ -101,13 +102,12 @@ __all__ = ["DecoderConfig", "DecodeOutcome", "JointBpDecoder"]
 _TANH_GUARD = 1.0 - 1e-15
 
 
-def _log_prior(p_d: float) -> tuple[float, float, float, float]:
-    """(ln p_I, ln p_X, ln p_Z, ln p_Y) of the depolarizing prior at p_d, in [0, 1)."""
+def _log_prior(p_d: float) -> tuple[float, float]:
+    """(ln p_I, ln p_X) of the depolarizing prior at p_d, in [0, 1); p_Y = p_Z = p_X."""
     if not 0.0 <= p_d < 1.0:
         raise ValueError(f"decoder requires 0 <= p_d < 1, got {p_d}")
-    prior = depolarizing_prior(p_d)
     with np.errstate(divide="ignore"):  # log(0) -> -inf is wanted
-        return tuple(np.log(p) for p in (prior.p_ii, prior.p_x, prior.p_z, prior.p_y))
+        return np.log(1.0 - p_d), np.log(p_d / 3.0)
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ class JointBpDecoder:
         """
         s = as_bits("s", syn.s, (self.gx.m,))
         t = as_bits("t", syn.t, (self.gz.m,))
-        ln_i, ln_x, ln_z, ln_y = _log_prior(p_d)
+        ln_i, ln_x = _log_prior(p_d)
         sign_s = 1.0 - 2.0 * s
         sign_t = 1.0 - 2.0 * t
         m_x = np.zeros(self.gx.check_vars.shape)  # check -> variable messages
@@ -219,11 +219,11 @@ class JointBpDecoder:
             # Totals lam + Lambda, each graph's channel term read from the other's sums.
             lam_sum_x = m_x.ravel()[self.gx.var_edges].sum(axis=1)
             lam_sum_z = m_z.ravel()[self.gz.var_edges].sum(axis=1)
-            total_x = np.logaddexp(ln_i, ln_z - lam_sum_z) - np.logaddexp(
-                ln_x, ln_y - lam_sum_z
+            total_x = np.logaddexp(ln_i, ln_x - lam_sum_z) - np.logaddexp(
+                ln_x, ln_x - lam_sum_z
             ) + lam_sum_x
             total_z = np.logaddexp(ln_i, ln_x - lam_sum_x) - np.logaddexp(
-                ln_z, ln_y - lam_sum_x
+                ln_x, ln_x - lam_sum_x
             ) + lam_sum_z
             x_hat = (total_x < 0).astype(np.uint8)
             z_hat = (total_z < 0).astype(np.uint8)
@@ -292,8 +292,8 @@ class JointBpDecoder:
         """
         S = as_bits("S", S, np.shape(S)[:1] + (self.gx.m,))
         T = as_bits("T", T, S.shape[:1] + (self.gz.m,))
-        ln_i, ln_x = _log_prior(p_d)[:2]
-        # ln_x = ln_y = ln_z (depolarizing_prior), so a graph's two channel terms are
+        ln_i, ln_x = _log_prior(p_d)
+        # ln_x = ln_y = ln_z, so a graph's two channel terms are
         # logaddexp(ln_i, diff) and logaddexp(ln_x, diff), diff = ln_x - other sums.
         ln_a = np.array([ln_i, ln_x]).reshape(2, 1, 1, 1)
         clip, damping, cap = self.cfg.llr_clip, self.cfg.damping, self.cfg.max_iterations

@@ -56,7 +56,7 @@ class SparseBinaryMatrix:
     survivors are sorted and deduplicated.  Instances are immutable.
     """
 
-    __slots__ = ("rows", "cols", "row_support", "_packed", "_tanner")
+    __slots__ = ("rows", "cols", "row_support", "_tanner")
 
     def __init__(self, rows: int, cols: int, row_support) -> None:
         if rows < 0 or cols < 0:
@@ -84,7 +84,6 @@ class SparseBinaryMatrix:
         self.rows = rows
         self.cols = cols
         self.row_support = tuple(canon[a:b] for a, b in zip(bounds, bounds[1:]))
-        self._packed = None
         self._tanner = None
 
     def row_weights(self) -> np.ndarray:
@@ -99,11 +98,9 @@ class SparseBinaryMatrix:
         return int(self.row_weights().sum())
 
     def packed_rows(self) -> list[int]:
-        """Rows as Python ints (bit c = entry in column c); cached."""
-        if self._packed is None:
-            # Columns within a row are distinct, so summing the bits ORs them.
-            self._packed = [sum(1 << c for c in sup.tolist()) for sup in self.row_support]
-        return self._packed
+        """Rows as Python ints (bit c = entry in column c)."""
+        # Columns within a row are distinct, so summing the bits ORs them.
+        return [sum(1 << c for c in sup.tolist()) for sup in self.row_support]
 
     def tanner_graph(self) -> "TannerGraph":
         """Edge layout of this (row- and column-regular) matrix; cached."""

@@ -206,7 +206,7 @@ class _Fold:
     """A point's counts, folded from its chunks in trial order."""
 
     def __init__(self, stop: StopRule, max_logged_failures: int):
-        if max_logged_failures < 0:
+        if as_int("max_logged_failures", max_logged_failures) < 0:
             raise ValueError(f"max_logged_failures must be >= 0, got {max_logged_failures}")
         self.stop, self.max_logged_failures = stop, max_logged_failures
         self.trials = self.iterations = self.frame_errors = 0
@@ -449,8 +449,8 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
 
 
 def _check_workers(workers: int | None) -> int:
-    """The worker count, every usable CPU when None; below 1 raises ValueError."""
-    if workers is not None and workers < 1:
+    """The worker count (every usable CPU for None); a non-integer or < 1 raises ValueError."""
+    if workers is not None and as_int("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers is None and hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

@@ -4,39 +4,12 @@ import pytest
 from oracles import dense_view, mul_mod2, nullspace_basis
 from qcldpc.channel import (
     PauliError,
-    depolarizing_prior,
     extract_syndrome,
     sample_error,
     trial_rng,
     trial_uniforms,
 )
 from qcldpc.decoder import JointBpDecoder
-
-
-# ---------------------------------------------------------------------------
-# depolarizing_prior
-
-
-def test_prior_noiseless():
-    p = depolarizing_prior(0.0)
-    assert (p.p_ii, p.p_x, p.p_z, p.p_y) == (1.0, 0.0, 0.0, 0.0)
-
-
-def test_prior_uniform_pauli_point():
-    p = depolarizing_prior(0.75)
-    assert (p.p_ii, p.p_x, p.p_z, p.p_y) == (0.25, 0.25, 0.25, 0.25)
-
-
-def test_prior_marginal():
-    p = depolarizing_prior(0.1)
-    assert p.p_x + p.p_y == pytest.approx(1 / 15)
-    assert p.p_z + p.p_y == pytest.approx(1 / 15)
-
-
-@pytest.mark.parametrize("bad", [-0.01, 1.01])
-def test_prior_rejects_out_of_range(bad):
-    with pytest.raises(ValueError):
-        depolarizing_prior(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import GIRTH6_P
 from oracles import dense_rank, dense_tanner_arrays, dense_view, expand_dense, mul_mod2
+from qcldpc.cli import main
 from qcldpc.codes import (
     CodeValidationError,
     _check_orthogonal,
@@ -14,7 +15,6 @@ from qcldpc.codes import (
     ExponentPairParseError,
     build_code,
     builtin_pair_j3_l8,
-    code_report,
     design_rate,
     dump_pair,
     expand_exponent_matrix,
@@ -123,7 +123,7 @@ def test_build_code_rejects_non_orthogonal_pair(pair):
 
 def test_build_code_rejects_shape_mismatch(pair):
     e_x, _ = pair
-    short = ExponentMatrix.from_rows(e_x.entries[:2])
+    short = ExponentMatrix(e_x.entries[:2])
     with pytest.raises(ValueError, match="shape"):
         build_code((e_x, short), 5)
 
@@ -131,6 +131,18 @@ def test_build_code_rejects_shape_mismatch(pair):
 def test_build_code_rejects_tiny_p(pair):
     with pytest.raises(ValueError):
         build_code(pair, 1)
+
+
+@pytest.mark.parametrize("bad", [5.0, np.float64(25.0), True, 2.5])
+def test_circulant_size_must_be_an_integer(pair, bad):
+    # A float size used to raise TypeError, and True expanded at P = 1.
+    for call in (lambda: build_code(pair, bad), lambda: list(scan_p(pair, [bad])),
+                 lambda: expand_exponent_matrix(pair[0], bad)):
+        with pytest.raises(ValueError, match="circulant size must be an integer"):
+            call()
+    code = build_code(pair, np.int64(5))
+    assert type(code.P) is int and code.n == 40
+    assert [r.P for r in scan_p(pair, np.arange(24, 26))] == [24, 25]
 
 
 @pytest.mark.parametrize("P", [2, 3, 4, 5, 7, 10, 21, 25, 33])
@@ -162,13 +174,13 @@ def exponent_pairs(draw):
                              min_size=J, max_size=J))
 
     if L % 2 or draw(st.booleans()):
-        return ExponentMatrix.from_rows(matrix(L)), ExponentMatrix.from_rows(matrix(L))
+        return ExponentMatrix(matrix(L)), ExponentMatrix(matrix(L))
     a, b = matrix(L // 2), matrix(L // 2)
     a, b = [row + row for row in a], [row + row for row in b]
     if draw(st.booleans()):
         side = draw(st.sampled_from([a, b]))
         side[draw(st.integers(0, J - 1))][draw(st.integers(0, L - 1))] = draw(entries)
-    return ExponentMatrix.from_rows(a), ExponentMatrix.from_rows(b)
+    return ExponentMatrix(a), ExponentMatrix(b)
 
 
 _BUILTIN = builtin_pair_j3_l8()
@@ -201,7 +213,7 @@ def test_built_tanner_graphs_match_dense_expansion(pair, P):
 def test_expansion_commutes_with_entry_reduction(pair):
     for P in (5, 12, 25):
         reduced = tuple(
-            ExponentMatrix.from_rows([e % P for e in row] for row in em.entries) for em in pair
+            ExponentMatrix([e % P for e in row] for row in em.entries) for em in pair
         )
         a = build_code(pair, P)
         b = build_code(reduced, P)
@@ -236,16 +248,16 @@ def test_measured_rate_p21_exact(pair):
 
 @pytest.mark.parametrize("bad", [1.7, 2.0, True, np.float64(1.0)])
 def test_exponent_rows_reject_entries_that_are_not_integers(bad):
-    # 1.7 used to be truncated to shift 1.
+    # 1.7 used to be truncated to shift 1, and ExponentMatrix itself took it.
     with pytest.raises(ValueError, match="exponent must be an integer"):
-        ExponentMatrix.from_rows([[bad, 2]])
-    rows = ExponentMatrix.from_rows(np.array([[1, 2]])).entries
+        ExponentMatrix([[bad, 2]])
+    rows = ExponentMatrix(np.array([[1, 2]])).entries
     assert rows == ((1, 2),) and type(rows[0][0]) is int
 
 
 def test_measured_rate_full_rank_case():
     # A pair whose matrices are full rank: rate equals the design rate.
-    e = ExponentMatrix.from_rows([[0, 0]])
+    e = ExponentMatrix([[0, 0]])
     code = build_code((e, e), 3)
     assert dense_rank(dense_view(code.h_x)) == 3 and dense_rank(dense_view(code.h_z)) == 3
     assert measured_rate(code) == design_rate(1, 2) + Fraction(0)
@@ -270,16 +282,16 @@ def test_measured_rate_at_least_design(pair):
 
 
 # ---------------------------------------------------------------------------
-# code_report / scan_p
+# `qcldpc code` report / scan_p
 
 
-def test_code_report_fields(pair):
-    code = build_code(pair, GIRTH6_P)
-    rep = code_report(code)
-    assert (rep.J, rep.L, rep.P) == (3, 8, GIRTH6_P)
-    assert rep.n == GIRTH6_P * 8
-    assert rep.girth_x == 6 and rep.girth_z == 6
-    assert rep.design_rate <= rep.measured_rate
+def test_code_report_fields(capsys):
+    assert main(["code", "--builtin-3x8", "--p", str(GIRTH6_P)]) == 0
+    fields = dict(item.split("=") for item in capsys.readouterr().out.split() if "=" in item)
+    assert (fields["J"], fields["L"], fields["P"]) == ("3", "8", str(GIRTH6_P))
+    assert fields["n"] == str(GIRTH6_P * 8)
+    assert fields["girth_x"] == "6" and fields["girth_z"] == "6"
+    assert Fraction(fields["design_rate"]) <= Fraction(fields["measured_rate"])
 
 
 def test_scan_p_flags_girth6(pair):

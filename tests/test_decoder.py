@@ -394,9 +394,9 @@ def test_convergence_soundness_on_channel_errors(code25):
 def prior_only_totals(p_d):
     """decode's iteration-0 totals (x side, z side): the channel terms with no
     check messages."""
-    ln_i, ln_x, ln_z, ln_y = _log_prior(p_d)
-    return (np.logaddexp(ln_i, ln_z) - np.logaddexp(ln_x, ln_y),
-            np.logaddexp(ln_i, ln_x) - np.logaddexp(ln_z, ln_y))
+    ln_i, ln_x = _log_prior(p_d)  # ln p_Y = ln p_Z = ln p_X
+    total = np.logaddexp(ln_i, ln_x) - np.logaddexp(ln_x, ln_x)
+    return total, total
 
 
 def test_prior_only_llrs_match_closed_form():

@@ -27,12 +27,12 @@ def random_sparse(rng, rows, cols, density=0.2):
 
 def cpm(shift, P):
     """The P x P circulant permutation matrix with the given shift."""
-    return expand_exponent_matrix(ExponentMatrix.from_rows([[shift]]), P)
+    return expand_exponent_matrix(ExponentMatrix([[shift]]), P)
 
 
 def random_regular(rng, J, L, P):
     """A random (row weight L, column weight J) matrix of J x L circulant blocks."""
-    return expand_exponent_matrix(ExponentMatrix.from_rows(rng.integers(0, P, (J, L))), P)
+    return expand_exponent_matrix(ExponentMatrix(rng.integers(0, P, (J, L))), P)
 
 
 # ---------------------------------------------------------------------------

@@ -282,12 +282,14 @@ def test_run_sweep_and_run_point_reject_a_bad_seed_before_any_trial(code5, start
                                         ({"point_index": 2**32}, "point index"),
                                         ({"point_index": -1}, "point index"),
                                         ({"point_index": 1.0}, "point index"),
-                                        ({"point_index": True}, "point index")])
+                                        ({"point_index": True}, "point index"),
+                                        ({"max_logged_failures": 2.5}, "max_logged_failures"),
+                                        ({"max_logged_failures": True}, "max_logged_failures")])
 def test_run_sweep_and_run_point_reject_a_bad_cap_or_point_index_before_any_lane(
         code5, started_workers, monkeypatch, bad, match):
     # A sweep used to start its worker before run_point checked the cap, and
     # a bad point index came back from a worker's first chunk (a float one as
-    # a TypeError).
+    # a TypeError); a cap of 2.5 logged 3 failures and True logged 1.
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
@@ -706,9 +708,9 @@ def test_run_sweep_two_workers_equal_one(code5):
     assert all(r.frame_errors == 4 for r in one)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, True, 2.5])
 def test_run_point_and_run_sweep_reject_fewer_than_one_worker(code5, workers):
-    # Both used to run one worker silently.
+    # Both used to run one worker silently, on True too; 2.5 raised TypeError.
     with pytest.raises(ValueError, match="workers"):
         run_point(code5, 0.1, StopRule(1, 10), seed=0, workers=workers)
     with pytest.raises(ValueError, match="workers"):
