@@ -116,7 +116,4 @@ def extract_syndrome(code: QuantumQcCode, e: PauliError) -> Syndrome:
     """Measure (s, t) = (H_Z @ x, H_X @ z) over GF(2) on the decoder's Tanner graphs."""
     if e.n != code.n:
         raise ValueError(f"error length {e.n} does not match code length {code.n}")
-    return Syndrome(
-        s=code.h_z.tanner_graph().check_sums(e.x),
-        t=code.h_x.tanner_graph().check_sums(e.z),
-    )
+    return Syndrome(s=code.h_z.check_sums(e.x), t=code.h_x.check_sums(e.z))

@@ -1,12 +1,14 @@
 """Quantum quasi-cyclic LDPC code pairs built from circulant exponent matrices.
 
 A code is a pair of binary parity-check matrices (H_X, H_Z), each a
-J x L block array of P x P circulant permutation matrices.  The block
-shifts come from two integer exponent matrices; construction expands
-the blocks, then verifies CSS orthogonality (H_X @ H_Z^T = 0 over
-GF(2)) and the exact (column weight J, row weight L) regularity that
-the decoder relies on.  Non-orthogonal or irregular pairs are rejected
-loudly: nothing downstream is meaningful without these invariants.
+J x L block array of P x P circulant permutation matrices, held as its
+:class:`~qcldpc.gf2.TannerGraph`.  The block shifts come from two integer
+exponent matrices; construction expands the blocks straight into each
+row's column indices, then verifies CSS orthogonality (H_X @ H_Z^T = 0
+over GF(2)) and the exact (column weight J, row weight L) regularity
+that the decoder relies on.  Non-orthogonal or irregular pairs are
+rejected loudly: nothing downstream is meaningful without these
+invariants.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf2 import RowSpace, SparseBinaryMatrix, as_int, girth
+from .gf2 import RowSpace, TannerGraph, as_int, girth
 
 __all__ = [
     "ExponentMatrix",
@@ -166,19 +168,20 @@ def dump_pair(pair: tuple[ExponentMatrix, ExponentMatrix], path) -> None:
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def expand_exponent_matrix(em: ExponentMatrix, P: int) -> SparseBinaryMatrix:
+def expand_exponent_matrix(em: ExponentMatrix, P: int) -> TannerGraph:
     """Expand a J x L exponent matrix into its (J*P) x (L*P) binary matrix.
 
     Block (j, l) is the P x P circulant permutation with shift
     entries[j][l] mod P: block row i has its 1 at block column
-    (i + shift) mod P.
+    (i + shift) mod P.  Each row holds one column of each block column,
+    so its L entries are distinct and already in order.
     """
     P = as_int("circulant size", P)
     if P < 1:
         raise ValueError(f"circulant size must be >= 1, got {P}")
     shifts = np.array([[shift % P for shift in row] for row in em.entries], dtype=np.int64)
     support = np.arange(em.L) * P + (np.arange(P)[:, None] + shifts[:, None, :]) % P  # (J, P, L)
-    return SparseBinaryMatrix(em.J * P, em.L * P, support.reshape(em.J * P, em.L))
+    return TannerGraph(support.reshape(em.J * P, em.L), em.L * P)
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,8 @@ class QuantumQcCode:
     J: int
     L: int
     n: int
-    h_x: SparseBinaryMatrix = field(repr=False)
-    h_z: SparseBinaryMatrix = field(repr=False)
+    h_x: TannerGraph = field(repr=False)
+    h_z: TannerGraph = field(repr=False)
 
     @cached_property
     def x_stabilizers(self) -> RowSpace:
@@ -268,14 +271,9 @@ def build_code(pair: tuple[ExponentMatrix, ExponentMatrix], P: int) -> QuantumQc
             "the exponent pair is not orthogonal at P = " + str(P)
         )
     for name, h in (("H_X", h_x), ("H_Z", h_z)):
-        try:
-            graph = h.tanner_graph()
-        except ValueError as exc:
-            raise CodeValidationError(f"{name}: {exc}") from None
-        if (graph.deg_check, graph.deg_var) != (L, J):
+        if (h.deg_check, h.deg_var) != (L, J):
             raise CodeValidationError(
-                f"{name} (row, column) weights ({graph.deg_check}, "
-                f"{graph.deg_var}) != ({L}, {J})"
+                f"{name} (row, column) weights ({h.deg_check}, {h.deg_var}) != ({L}, {J})"
             )
     return QuantumQcCode(e_x=e_x, e_z=e_z, P=P, J=J, L=L, n=P * L, h_x=h_x, h_z=h_z)
 

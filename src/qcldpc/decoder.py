@@ -26,11 +26,11 @@ same for every frame: with all messages 0 every total is the prior LLR
 c0 = ln[(p_I + p_Z) / (p_X + p_Y)], so every decision is c0 < 0, and
 each check's first message depends only on its edge slot and syndrome bit.
 
-Both graphs are the :class:`~qcldpc.gf2.TannerGraph` layouts cached on
-the check matrices (the ones syndrome extraction reads), which also
-enforce the regularity the fixed-shape message arrays rely on.  H_X and
-H_Z must also have the same shape and row weight, as every built code's
-do, so that decode_batch can stack the two graphs.
+Both graphs are the check matrices themselves, the
+:class:`~qcldpc.gf2.TannerGraph` instances syndrome extraction reads, whose
+construction enforces the regularity the fixed-shape message arrays rely
+on.  H_X and H_Z must also have the same shape and row weight, as every
+built code's do, so that decode_batch can stack the two graphs.
 
 :meth:`JointBpDecoder.decode_batch` decodes B frames at once for the Monte
 Carlo driver, into one DecodeOutcome with a leading frame axis.  Its
@@ -94,7 +94,7 @@ import numpy as np
 
 from .channel import Syndrome
 from .codes import QuantumQcCode
-from .gf2 import SparseBinaryMatrix, as_bits, as_int
+from .gf2 import TannerGraph, as_bits, as_int
 
 __all__ = ["DecoderConfig", "DecodeOutcome", "JointBpDecoder"]
 
@@ -149,15 +149,13 @@ class JointBpDecoder:
     single-threaded, and distinct instances share nothing mutable.
     """
 
-    def __init__(self, h_x: SparseBinaryMatrix, h_z: SparseBinaryMatrix,
-                 cfg: DecoderConfig | None = None):
+    def __init__(self, h_x: TannerGraph, h_z: TannerGraph, cfg: DecoderConfig | None = None):
         self.cfg = cfg or DecoderConfig()
-        self.n = h_x.cols
+        self.n = h_x.n
         # Graph "x" constrains the x-component (rows of H_Z), "z" the
         # z-component (rows of H_X).
-        self.gx = h_z.tanner_graph()
-        self.gz = h_x.tanner_graph()
-        if h_x.cols != h_z.cols or self.gx.check_vars.shape != self.gz.check_vars.shape:
+        self.gx, self.gz = h_z, h_x
+        if h_x.n != h_z.n or h_x.check_vars.shape != h_z.check_vars.shape:
             raise ValueError("H_X and H_Z must have the same shape and row weight")
         # decode_batch's frame-minor rows, for any B: edge (c, k) of graph g is row
         # k*2m + g*m + c of the (d*2m, B) messages, variable v row g*n + v of totals.

@@ -191,7 +191,7 @@ def _run_trials(
     abandons returns ([], [])."""
     trials = range(start, start + count)
     x, z = pauli_bits(trial_uniforms(seed, point_index, trials, code.n), p_d)
-    s, t = code.h_z.tanner_graph().check_sums(x), code.h_x.tanner_graph().check_sums(z)
+    s, t = code.h_z.check_sums(x), code.h_x.check_sums(z)
     out = decoder.decode_batch(s, t, p_d, stopped=stopped)
     if out is None:  # abandoned
         return [], []

@@ -1,24 +1,20 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here deliberately avoids the library's packed-int
-elimination, Tanner-graph gathers, one-pass row canonicalization and
-BFS code paths: products come from dense numpy matmul, ranks from dense
-numpy elimination, row-space membership from exhaustive enumeration,
-canonical rows from one np.unique per row, dense views from row supports
+elimination, Tanner-graph gathers and BFS code paths: products come
+from dense numpy matmul, ranks from dense numpy elimination, row-space
+membership from exhaustive enumeration, dense views from row supports
 entry by entry, circulant expansions from rolled identities, and short
 cycles from explicit pattern search, so the two sides of each comparison
-share no implementation.  `sparse_from_dense` is no oracle: it builds test
-inputs with the library's constructor, which the per-row canonicalization
-oracle checks.
+share no implementation.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
-
-from qcldpc.gf2 import SparseBinaryMatrix
 
 
 def mul_mod2(A, B) -> np.ndarray:
@@ -31,28 +27,6 @@ def mul_mod2(A, B) -> np.ndarray:
     return (prod.astype(np.int64) % 2).astype(np.uint8)
 
 
-def canonical_rows(rows: int, cols: int, row_support) -> tuple[np.ndarray, ...]:
-    """Each row's support reduced mod 2, one np.unique per row.
-
-    Raises the ValueError SparseBinaryMatrix raises for the first
-    fractional or out-of-range column index, naming its row.
-    """
-    support = list(row_support)
-    if len(support) != rows:
-        raise ValueError(f"expected {rows} rows of support, got {len(support)}")
-    canon = []
-    for r, sup in enumerate(support):
-        idx = np.asarray(sup).ravel()
-        for c in idx.tolist():
-            if np.floor(c) != c:
-                raise ValueError(f"row {r}: column index is not an integer")
-            if not 0 <= c < cols:
-                raise ValueError(f"row {r}: column index out of range [0, {cols})")
-        vals, counts = np.unique(idx.astype(np.int64), return_counts=True)
-        canon.append(vals[counts % 2 == 1])
-    return tuple(canon)
-
-
 def dense_from_support(rows: int, cols: int, row_support) -> np.ndarray:
     """Dense 0/1 matrix toggling entry (r, c) once per occurrence of c in row r."""
     out = np.zeros((rows, cols), dtype=np.uint8)
@@ -62,20 +36,17 @@ def dense_from_support(rows: int, cols: int, row_support) -> np.ndarray:
     return out
 
 
-def dense_view(m: SparseBinaryMatrix) -> np.ndarray:
-    """The dense 0/1 matrix of m, built from its row supports."""
-    return dense_from_support(m.rows, m.cols, m.row_support)
+def dense_view(m) -> np.ndarray:
+    """The dense 0/1 matrix of a TannerGraph, or of any record with the same
+    n and check_vars, built from its rows."""
+    return dense_from_support(len(m.check_vars), m.n, m.check_vars)
 
 
-def sparse_from_dense(a) -> SparseBinaryMatrix:
-    """The SparseBinaryMatrix with a 1 wherever the 2-D array a is nonzero."""
+def sparse_from_dense(a) -> SimpleNamespace:
+    """The (check_vars, n) record of the 2-D array a: row r lists the columns
+    where a[r] is nonzero, and the rows may differ in length."""
     a = np.asarray(a)
-    return SparseBinaryMatrix(a.shape[0], a.shape[1], [np.flatnonzero(row) for row in a])
-
-
-def packed_row(row: np.ndarray) -> int:
-    """A dense 0/1 row as a Python int with bit c = row[c], via its binary string."""
-    return int("".join(str(int(b)) for b in row[::-1]) or "0", 2)
+    return SimpleNamespace(check_vars=[np.flatnonzero(row) for row in a], n=a.shape[1])
 
 
 def expand_dense(entries, P: int) -> np.ndarray:

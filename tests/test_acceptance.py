@@ -58,8 +58,9 @@ def test_criterion_02_weights(pair):
     for P in ORTHOGONALITY_SIZES:
         code = build_code(pair, P)
         for h in (code.h_x, code.h_z):
-            assert np.all(h.col_weights() == 3), f"column weight != 3 at P={P}"
-            assert np.all(h.row_weights() == 8), f"row weight != 8 at P={P}"
+            dense = dense_view(h)
+            assert np.all(dense.sum(axis=0) == 3), f"column weight != 3 at P={P}"
+            assert np.all(dense.sum(axis=1) == 8), f"row weight != 8 at P={P}"
     report(2, True, f"column weight 3 / row weight 8 exact for P in {ORTHOGONALITY_SIZES}")
 
 

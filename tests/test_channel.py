@@ -154,14 +154,14 @@ def test_syndrome_matches_direct_product(code_name, request):
     assert np.array_equal(syn.t, mul_mod2(dense_view(code.h_x), z))
     # The decoder checks its hard decisions on the very layouts used here.
     decoder = JointBpDecoder.for_code(code)
-    assert decoder.gx is code.h_z.tanner_graph() and decoder.gz is code.h_x.tanner_graph()
+    assert decoder.gx is code.h_z and decoder.gz is code.h_x
 
 
 @pytest.mark.parametrize("code_name", ["code5", "code25"])
 def test_check_sums_of_a_batch_are_the_row_sums(code_name, request):
     code = request.getfixturevalue(code_name)
     bits = (np.random.default_rng(3).random((7, code.n)) < 0.3).astype(np.uint8)
-    for graph in (code.h_x.tanner_graph(), code.h_z.tanner_graph()):
+    for graph in (code.h_x, code.h_z):
         sums = graph.check_sums(bits)
         assert sums.shape == (7, graph.m) and sums.dtype == np.uint8
         assert np.array_equal(sums, [graph.check_sums(row) for row in bits])

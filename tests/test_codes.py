@@ -22,7 +22,7 @@ from qcldpc.codes import (
     measured_rate,
     scan_p,
 )
-from qcldpc.gf2 import RowSpace, SparseBinaryMatrix
+from qcldpc.gf2 import RowSpace, TannerGraph
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,19 @@ def test_build_code_rejects_shape_mismatch(pair):
         build_code((e_x, short), 5)
 
 
+def test_build_code_rejects_wrong_degrees(pair, monkeypatch):
+    # Expansion always gives row weight L and column weight J, so graphs of
+    # other degrees are put in its place to reach build_code's own check.
+    real = expand_exponent_matrix
+    for remake, want in ((lambda rows: np.vstack([rows, rows]), "(8, 6)"),
+                         (lambda rows: rows.reshape(-1, 4), "(4, 3)")):
+        monkeypatch.setattr("qcldpc.codes.expand_exponent_matrix",
+                            lambda em, P: TannerGraph(remake(real(em, P).check_vars), 8 * P))
+        with pytest.raises(CodeValidationError) as exc:
+            build_code(pair, 5)
+        assert str(exc.value) == f"H_X (row, column) weights {want} != (8, 3)"
+
+
 def test_build_code_rejects_tiny_p(pair):
     with pytest.raises(ValueError):
         build_code(pair, 1)
@@ -150,8 +163,9 @@ def test_orthogonality_and_weights_every_p(pair, P):
     code = build_code(pair, P)
     assert not mul_mod2(dense_view(code.h_x), dense_view(code.h_z).T).any()
     for h in (code.h_x, code.h_z):
-        assert np.all(h.row_weights() == 8)
-        assert np.all(h.col_weights() == 3)
+        dense = dense_view(h)
+        assert np.all(dense.sum(axis=1) == 8)
+        assert np.all(dense.sum(axis=0) == 3)
 
 
 def product_first_block(e_x, e_z, P):
@@ -205,9 +219,8 @@ def test_built_tanner_graphs_match_dense_expansion(pair, P):
     for em, h in zip(pair, (code.h_x, code.h_z)):
         dense = expand_dense(em.entries, P)
         check_vars, var_edges = dense_tanner_arrays(dense)
-        graph = h.tanner_graph()
-        assert np.array_equal(graph.check_vars, check_vars)
-        assert np.array_equal(graph.var_edges, var_edges)
+        assert np.array_equal(h.check_vars, check_vars)
+        assert np.array_equal(h.var_edges, var_edges)
 
 
 def test_expansion_commutes_with_entry_reduction(pair):
@@ -269,9 +282,7 @@ def test_rank_invariant_under_row_duplication(pair):
     # the measured rate's rank inputs.
     code = build_code(pair, 5)
     h = code.h_x
-    doubled = SparseBinaryMatrix(
-        2 * h.rows, h.cols, list(h.row_support) + list(h.row_support)
-    )
+    doubled = TannerGraph(np.vstack([h.check_vars, h.check_vars]), h.n)
     assert RowSpace(doubled).rank == RowSpace(h).rank
 
 

@@ -10,13 +10,13 @@ from oracles import dense_view, mul_mod2
 from qcldpc import build_code
 from qcldpc.channel import PauliError, Syndrome, extract_syndrome, sample_error, trial_rng
 from qcldpc.decoder import DecodeOutcome, DecoderConfig, JointBpDecoder, _log_prior
-from qcldpc.gf2 import SparseBinaryMatrix
+from qcldpc.gf2 import TannerGraph
 
 
 def zero_syndrome(code):
     return Syndrome(
-        s=np.zeros(code.h_z.rows, dtype=np.uint8),
-        t=np.zeros(code.h_x.rows, dtype=np.uint8),
+        s=np.zeros(code.h_z.m, dtype=np.uint8),
+        t=np.zeros(code.h_x.m, dtype=np.uint8),
     )
 
 
@@ -100,8 +100,8 @@ def test_decode_rejects_bad_rate(code25, bad):
 
 def test_decode_rejects_wrong_syndrome_length(code25):
     syn = Syndrome(
-        s=np.zeros(code25.h_z.rows + 1, dtype=np.uint8),
-        t=np.zeros(code25.h_x.rows, dtype=np.uint8),
+        s=np.zeros(code25.h_z.m + 1, dtype=np.uint8),
+        t=np.zeros(code25.h_x.m, dtype=np.uint8),
     )
     with pytest.raises(ValueError):
         JointBpDecoder.for_code(code25).decode(syn, 0.05)
@@ -138,8 +138,8 @@ def test_decode_batch_returns_one_outcome_with_a_leading_frame_axis(code25, fram
         extract_syndrome(code25, sample_error(code25.n, 0.08, trial_rng(808, 0, t)))
         for t in range(frames)
     ]
-    S = np.array([syn.s for syn in syns]).reshape(frames, code25.h_z.rows)
-    T = np.array([syn.t for syn in syns]).reshape(frames, code25.h_x.rows)
+    S = np.array([syn.s for syn in syns]).reshape(frames, code25.h_z.m)
+    T = np.array([syn.t for syn in syns]).reshape(frames, code25.h_x.m)
     out = dec.decode_batch(S, T, 0.08)
     assert isinstance(out, DecodeOutcome)
     for name, shape, kind in (("x_hat", (frames, code25.n), "u"),
@@ -155,10 +155,10 @@ def test_decode_batch_returns_one_outcome_with_a_leading_frame_axis(code25, fram
 def test_decoder_requires_graphs_of_equal_shape():
     # Against a 2 x 4 H_X of row weight 2: a 1 x 4 H_Z, a 2 x 4 H_Z of row weight 4,
     # and a 2 x 6 H_Z of row weight 2.
-    h_x = SparseBinaryMatrix(2, 4, [[0, 1], [2, 3]])
-    for h_z in (SparseBinaryMatrix(1, 4, [[0, 1, 2, 3]]),
-                SparseBinaryMatrix(2, 4, [[0, 1, 2, 3], [0, 1, 2, 3]]),
-                SparseBinaryMatrix(3, 6, [[0, 1], [2, 3], [4, 5]])):
+    h_x = TannerGraph([[0, 1], [2, 3]], 4)
+    for h_z in (TannerGraph([[0, 1, 2, 3]], 4),
+                TannerGraph([[0, 1, 2, 3], [0, 1, 2, 3]], 4),
+                TannerGraph([[0, 1], [2, 3], [4, 5]], 6)):
         with pytest.raises(ValueError, match="same shape and row weight"):
             JointBpDecoder(h_x, h_z)
 
@@ -202,8 +202,8 @@ def test_decode_batch_equals_decode_property(
         rng = np.random.default_rng(seed)
         syns = [
             Syndrome(
-                s=rng.integers(0, 2, code5.h_z.rows).astype(np.uint8),
-                t=rng.integers(0, 2, code5.h_x.rows).astype(np.uint8),
+                s=rng.integers(0, 2, code5.h_z.m).astype(np.uint8),
+                t=rng.integers(0, 2, code5.h_x.m).astype(np.uint8),
             )
             for _ in range(batch)
         ]
@@ -264,7 +264,7 @@ def test_decode_batch_equals_decode_where_the_atanh_guard_binds(code5):
 
 def circulant(p, shifts):
     """The p x p matrix whose row r has ones in columns (r + s) % p, s in shifts."""
-    return SparseBinaryMatrix(p, p, [[(r + s) % p for s in shifts] for r in range(p)])
+    return TannerGraph([[(r + s) % p for s in shifts] for r in range(p)], p)
 
 
 @pytest.fixture(params=["code5", "weight3", "weight1"])
@@ -289,11 +289,11 @@ def test_decode_batch_equals_decode_in_round_zero(round_zero_pair, p_d, damping,
     cfg = DecoderConfig(max_iterations=30, llr_clip=llr_clip, damping=damping)
     dec = JointBpDecoder(h_x, h_z, cfg)
     rng = np.random.default_rng(7)
-    zeros, ones = (Syndrome(s=np.full(h_z.rows, b, np.uint8), t=np.full(h_x.rows, b, np.uint8))
+    zeros, ones = (Syndrome(s=np.full(h_z.m, b, np.uint8), t=np.full(h_x.m, b, np.uint8))
                    for b in (0, 1))
     mixed = [Syndrome(s=zeros.s, t=ones.t), Syndrome(s=ones.s, t=zeros.t)]
-    randoms = [Syndrome(s=rng.integers(0, 2, h_z.rows).astype(np.uint8),
-                        t=rng.integers(0, 2, h_x.rows).astype(np.uint8)) for _ in range(5)]
+    randoms = [Syndrome(s=rng.integers(0, 2, h_z.m).astype(np.uint8),
+                        t=rng.integers(0, 2, h_x.m).astype(np.uint8)) for _ in range(5)]
     syns = [zeros, *randoms[:2], ones, *mixed, zeros, *randoms[2:], ones]
     want = [dec.decode(syn, p_d) for syn in syns]
     assert any(o.iterations == 0 and o.converged for o in want)
@@ -365,8 +365,8 @@ def test_random_syndromes_contract(code25):
     seen = {True: 0, False: 0}
     for _ in range(60):
         syn = Syndrome(
-            s=rng.integers(0, 2, code25.h_z.rows).astype(np.uint8),
-            t=rng.integers(0, 2, code25.h_x.rows).astype(np.uint8),
+            s=rng.integers(0, 2, code25.h_z.m).astype(np.uint8),
+            t=rng.integers(0, 2, code25.h_x.m).astype(np.uint8),
         )
         out = dec.decode(syn, 0.05)
         seen[out.converged] += 1
@@ -416,7 +416,7 @@ def test_uniform_pauli_prior_gives_zero_llrs(code25):
 
 
 def permute_cols(M, perm):
-    return SparseBinaryMatrix(M.rows, M.cols, [perm[sup] for sup in M.row_support])
+    return TannerGraph(perm[M.check_vars], M.n)
 
 
 def test_qubit_permutation_equivariance(code5):

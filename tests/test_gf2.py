@@ -2,23 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    canonical_rows,
     dense_from_support,
     dense_rank,
+    dense_tanner_arrays,
     dense_view,
     has_four_cycle,
     mul_mod2,
-    packed_row,
     row_space_set,
     short_cycle_girth,
     sparse_from_dense,
 )
 from qcldpc.codes import ExponentMatrix, expand_exponent_matrix
-from qcldpc.gf2 import RowSpace, SparseBinaryMatrix, girth, pack_bits
+from qcldpc.gf2 import RowSpace, TannerGraph, girth, pack_bits
 
 
 def random_sparse(rng, rows, cols, density=0.2):
@@ -45,12 +44,12 @@ def test_cpm_zero_shift_is_identity():
 
 def test_cpm_shift_one():
     m = cpm(1, 3)
-    assert [tuple(sup) for sup in m.row_support] == [(1,), (2,), (0,)]
+    assert m.check_vars.tolist() == [[1], [2], [0]]
 
 
 def test_cpm_negative_shift_reduces_mod_p():
     assert np.array_equal(dense_view(cpm(-1, 3)), dense_view(cpm(2, 3)))
-    assert [tuple(sup) for sup in cpm(-1, 3).row_support] == [(2,), (0,), (1,)]
+    assert cpm(-1, 3).check_vars.tolist() == [[2], [0], [1]]
 
 
 def test_cpm_rejects_zero_size():
@@ -81,12 +80,11 @@ def test_mat_mul_cpm_composition(a, b, P):
 
 
 def test_mat_mul_characteristic_two_cancellation():
-    # CPM(c) + CPM(c) = 0: duplicate support entries cancel at construction.
-    c = cpm(3, 5)
-    doubled = SparseBinaryMatrix(
-        5, 5, [np.concatenate([sup, sup]) for sup in c.row_support]
-    )
-    assert doubled.nnz == 0
+    # CPM(c) + CPM(c) = 0: the block row [CPM(c) | CPM(c)] maps every (v, v) to 0.
+    pair = expand_exponent_matrix(ExponentMatrix([[3, 3]]), 5)
+    v = np.random.default_rng(2).integers(0, 2, (16, 5)).astype(np.uint8)
+    assert not pair.check_sums(np.hstack([v, v])).any()
+    assert np.array_equal(pair.check_sums(np.hstack([v, 0 * v])), cpm(3, 5).check_sums(v))
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +93,18 @@ def test_mat_mul_characteristic_two_cancellation():
 
 def test_mat_vec_identity():
     v = np.array([1, 0, 1, 1], dtype=np.uint8)
-    assert np.array_equal(cpm(0, 4).tanner_graph().check_sums(v), v)
+    assert np.array_equal(cpm(0, 4).check_sums(v), v)
 
 
 def test_mat_vec_zero_vector():
     rng = np.random.default_rng(5)
     m = random_regular(rng, 2, 5, 4)
-    assert not m.tanner_graph().check_sums(np.zeros(m.cols, dtype=np.uint8)).any()
+    assert not m.check_sums(np.zeros(m.n, dtype=np.uint8)).any()
 
 
 def test_mat_vec_all_ones_two_by_two():
-    m = sparse_from_dense(np.ones((2, 2), dtype=np.uint8))
-    got = m.tanner_graph().check_sums(np.array([1, 0], dtype=np.uint8))
+    m = TannerGraph([[0, 1], [0, 1]], 2)
+    got = m.check_sums(np.array([1, 0], dtype=np.uint8))
     assert np.array_equal(got, np.array([1, 1], dtype=np.uint8))
 
 
@@ -115,14 +113,22 @@ def test_mat_vec_all_ones_two_by_two():
 def test_mat_vec_linearity(seed):
     rng = np.random.default_rng(seed)
     m = random_regular(rng, 3, 4, 5)
-    graph = m.tanner_graph()
-    u = (rng.random(m.cols) < 0.5).astype(np.uint8)
-    v = (rng.random(m.cols) < 0.5).astype(np.uint8)
-    lhs = graph.check_sums(u ^ v)
-    assert np.array_equal(lhs, graph.check_sums(u) ^ graph.check_sums(v))
+    u = (rng.random(m.n) < 0.5).astype(np.uint8)
+    v = (rng.random(m.n) < 0.5).astype(np.uint8)
+    lhs = m.check_sums(u ^ v)
+    assert np.array_equal(lhs, m.check_sums(u) ^ m.check_sums(v))
     assert np.array_equal(lhs, mul_mod2(dense_view(m), u ^ v))
     batch = np.stack((u, v))
-    assert np.array_equal(graph.check_sums(batch), mul_mod2(batch, dense_view(m).T))
+    assert np.array_equal(m.check_sums(batch), mul_mod2(batch, dense_view(m).T))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_check_sums_refuses_vectors_of_the_wrong_length(batch):
+    # A long vector used to give a full syndrome from its first n bits.
+    m = random_regular(np.random.default_rng(6), 2, 5, 4)
+    for length in (m.n - 3, m.n + 7):
+        with pytest.raises(ValueError, match=f"expected last axis {m.n}"):
+            m.check_sums(np.zeros(batch + (length,), np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +140,7 @@ def test_rank_identity():
 
 
 def test_rank_zero_matrix():
-    assert RowSpace(SparseBinaryMatrix(4, 6, [[], [], [], []])).rank == 0
+    assert RowSpace(sparse_from_dense(np.zeros((4, 6)))).rank == 0
 
 
 def test_rank_dependent_rows():
@@ -239,7 +245,7 @@ def test_girth_single_cpm_unbounded():
 
 
 def test_girth_zero_matrix_unbounded():
-    assert girth(SparseBinaryMatrix(3, 5, [[], [], []])) == math.inf
+    assert girth(sparse_from_dense(np.zeros((3, 5)))) == math.inf
 
 
 def test_girth_six_cross_checked_by_enumeration(code25):
@@ -272,87 +278,134 @@ def test_girth_known_six_cycle():
 
 
 # ---------------------------------------------------------------------------
-# SparseBinaryMatrix construction contracts
-
-
-def test_construction_cancels_duplicates_mod2():
-    m = SparseBinaryMatrix(2, 4, [[1, 1, 2], [3, 3, 3, 3]])
-    assert [tuple(sup) for sup in m.row_support] == [(2,), ()]
+# TannerGraph construction contracts
 
 
 def test_construction_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        SparseBinaryMatrix(1, 3, [[3]])
-    with pytest.raises(ValueError):
-        SparseBinaryMatrix(1, 3, [[-1]])
+    with pytest.raises(ValueError, match=r"row 0 has a column index out of range \[0, 3\)"):
+        TannerGraph([[3]], 3)
+    with pytest.raises(ValueError, match="row 1 has a column index out of range"):
+        TannerGraph([[0, 2], [-1, 1]], 3)
 
 
-@pytest.mark.parametrize("support", [[[0], [1.5]], [[0], [0.9, 2.2]], [[1], [np.nan]]])
+@pytest.mark.parametrize("support", [[[0, 1.5]], [[0.9, 2.2]], [[1, np.nan]]])
 def test_construction_rejects_fractional_indices(support):
     # A cast to int would read 1.5 as column 1, and 0.9, 2.2 as columns 0 and 2.
-    with pytest.raises(ValueError, match="row 1: column index is not an integer"):
-        SparseBinaryMatrix(2, 3, support)
+    with pytest.raises(ValueError, match="column indices must be integers"):
+        TannerGraph(support, 3)
 
 
-def test_construction_accepts_integral_floats():
-    m = SparseBinaryMatrix(2, 3, [[2.0, 0.0, 2.0], []])
-    assert [sup.tolist() for sup in m.row_support] == [[0], []]
+@pytest.mark.parametrize("support", [[[2.0, 0.0], [1.0, 3.0]], np.eye(2, dtype=bool),
+                                     np.array([[0, 1]], dtype=object)])
+def test_construction_rejects_integral_floats_and_bools(support):
+    # Neither is an index: True would read as column 1, and 2.0 as column 2.
+    with pytest.raises(ValueError, match="column indices must be integers"):
+        TannerGraph(support, 4)
 
 
-def test_construction_rejects_keys_that_overflow_int64():
-    with pytest.raises(ValueError, match="do not fit int64"):
-        SparseBinaryMatrix(2, 2**62, [[0], [2**62 - 1]])
+def test_construction_rejects_repeated_columns():
+    # Entries that repeat in a row are refused, not cancelled mod 2.
+    with pytest.raises(ValueError, match="row 0 repeats a column"):
+        TannerGraph([[1, 1, 2], [0, 2, 0]], 3)
+    with pytest.raises(ValueError, match="row 1 repeats a column"):
+        TannerGraph([[0, 1, 2], [2, 1, 2]], 3)
+
+
+def test_construction_rejects_unequal_column_weights():
+    with pytest.raises(ValueError, match="not column-regular: 3 of 3 columns used"):
+        TannerGraph([[0, 1], [0, 2]], 3)
+    with pytest.raises(ValueError, match="not column-regular: 2 of 3 columns used"):
+        TannerGraph([[0, 1], [0, 1]], 3)
+
+
+@pytest.mark.parametrize("support", [[0, 1, 2], [[[0, 1]]], np.zeros((0, 3), int),
+                                     np.zeros((3, 0), int)])
+def test_construction_rejects_arrays_that_are_not_2d_or_empty(support):
+    with pytest.raises(ValueError, match="must be a non-empty 2-D array"):
+        TannerGraph(support, 3)
+    with pytest.raises(ValueError):  # rows of unequal length are no array at all
+        TannerGraph([[0, 1], [2]], 3)
+
+
+@pytest.mark.parametrize("n", [3.0, np.float64(3.0), True, "3", None])
+def test_construction_rejects_a_column_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="column count must be an integer"):
+        TannerGraph([[0], [1], [2]], n)
+    assert TannerGraph([[0], [1], [2]], np.int64(3)).n == 3
+
+
+def test_construction_rejects_a_huge_column_count_without_allocating():
+    # Two entries cannot cover 2**62 columns equally, whatever their values.
+    for n in (2**62, 2**64):
+        with pytest.raises(ValueError, match=f"2 of {n} columns used"):
+            TannerGraph([[0], [2**62 - 1]], n)
+
+
+def test_construction_sorts_unsorted_rows():
+    g = TannerGraph(np.array([[2, 0], [1, 2], [1, 0]], dtype=np.int32), 3)
+    assert g.check_vars.tolist() == [[0, 2], [1, 2], [0, 1]]
+    assert g.check_vars.dtype == np.int64 and g.var_edges.tolist() == [[0, 4], [2, 5], [1, 3]]
+    assert (g.n, g.m, g.deg_check, g.deg_var) == (3, 3, 2, 2)
+    assert not g.check_vars.flags.writeable and not g.var_edges.flags.writeable
 
 
 @st.composite
-def ragged_supports(draw):
-    """Rows of column indices in any order, each column repeated 1 to 4 times."""
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 9))
-    columns = st.integers(0, cols - 1) if cols else st.nothing()
-    support = []
-    for _ in range(rows):
-        counts = draw(st.dictionaries(columns, st.integers(1, 4), max_size=cols))
-        row = draw(st.permutations([c for c, k in counts.items() for _ in range(k)]))
-        support.append(np.array(row, dtype=np.int32) if draw(st.booleans()) else row)
-    return rows, cols, support
+def shuffled_regular(draw):
+    """(rows, n): a random matrix of column weight j and row weight d, made of j
+    layers that each hold every column once, with each row's entries and the
+    rows themselves in random order, as lists or int32 arrays."""
+    d, per_layer, j = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    n = d * per_layer
+    layers = [np.array(draw(st.permutations(range(n)))).reshape(per_layer, d)
+              for _ in range(j)]
+    rows = [draw(st.permutations(row.tolist())) for row in np.vstack(layers)]
+    rows = draw(st.permutations(rows))
+    return (np.array(rows, dtype=np.int32) if draw(st.booleans()) else rows), n
 
 
-@given(ragged_supports())
+@given(shuffled_regular())
 @settings(max_examples=200)
 def test_construction_matches_per_row_oracle(case):
-    rows, cols, support = case
-    m = SparseBinaryMatrix(rows, cols, support)
-    want = canonical_rows(rows, cols, support)
-    assert len(m.row_support) == rows
-    for got, ref in zip(m.row_support, want):
-        assert got.dtype == np.int64 and np.array_equal(got, ref)
-    dense = dense_from_support(rows, cols, support)
-    assert np.array_equal(dense_view(m), dense)
-    assert np.array_equal(m.row_weights(), dense.sum(axis=1))
-    assert np.array_equal(m.col_weights(), dense.sum(axis=0))
-    assert m.nnz == int(dense.sum())
-    assert m.packed_rows() == [packed_row(row) for row in dense]
+    rows, n = case
+    g = TannerGraph(rows, n)
+    assert g.check_vars.dtype == np.int64
+    assert g.check_vars.tolist() == [sorted(int(c) for c in row) for row in rows]
+    dense = dense_from_support(len(rows), n, rows)
+    assert np.array_equal(dense_view(g), dense)
+    assert np.array_equal(g.var_edges, dense_tanner_arrays(dense)[1])
+    assert (g.n, g.m) == (n, len(rows))
+    assert set(dense.sum(axis=1)) == {g.deg_check} and set(dense.sum(axis=0)) == {g.deg_var}
 
 
-@given(ragged_supports(), st.data())
+def first_bad_row(rows, n) -> str:
+    """The refusal for rows with a bad entry, by a loop over Python lists:
+    the first row out of range, else the first row with a repeat."""
+    for r, row in enumerate(rows):
+        if any(not 0 <= c < n for c in row):
+            return f"row {r} has a column index out of range [0, {n})"
+    return next(f"row {r} repeats a column" for r, row in enumerate(rows)
+                if len(set(row)) < len(row))
+
+
+@given(shuffled_regular(), st.data())
 @settings(max_examples=200)
 def test_construction_names_the_oracles_first_bad_row(case, data):
-    rows, cols, support = case
-    assume(rows > 0)
-    bad = st.sampled_from([-1, -7, cols, cols + 3, 0.5, -0.5, cols - 0.25])
-    for r in data.draw(st.sets(st.integers(0, rows - 1), min_size=1)):
-        row = list(support[r])
-        row.insert(data.draw(st.integers(0, len(row))), data.draw(bad))
-        support[r] = row
-    with pytest.raises(ValueError) as want:
-        canonical_rows(rows, cols, support)
+    rows, n = case
+    rows = [list(map(int, row)) for row in rows]
+    for r in data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)):
+        k = data.draw(st.integers(0, len(rows[r]) - 1))
+        bad = [-1, -7, n, n + 3] + [c for i, c in enumerate(rows[r]) if i != k]
+        rows[r][k] = data.draw(st.sampled_from(bad))
     with pytest.raises(ValueError) as got:
-        SparseBinaryMatrix(rows, cols, support)
-    assert str(got.value) == str(want.value)
+        TannerGraph(rows, n)
+    assert str(got.value) == first_bad_row(rows, n)
 
 
-def test_row_support_strictly_increasing():
+def test_row_support_strictly_increasing(code25):
+    # Every row of check_vars lists its columns in increasing order: on built
+    # codes, and on a graph built from rows given in shuffled order.
     rng = np.random.default_rng(43)
-    m = random_sparse(rng, 10, 20, 0.4)
-    for sup in m.row_support:
-        assert np.all(np.diff(sup) > 0)
+    shuffled = TannerGraph([rng.permutation(row) for row in code25.h_x.check_vars], code25.n)
+    for g in (code25.h_x, code25.h_z, random_regular(rng, 3, 4, 5), shuffled):
+        assert np.all(np.diff(g.check_vars, axis=1) > 0)
+    assert np.array_equal(shuffled.check_vars, code25.h_x.check_vars)
