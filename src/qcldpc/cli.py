@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -104,10 +104,39 @@ def _add_pair_source(parser: argparse.ArgumentParser) -> None:
     src.add_argument("--pair", metavar="FILE", help="exponent-pair file to load")
 
 
-def _resolve_pair(cfg: dict):
-    if cfg.get("pair_file"):
-        return load_pair(cfg["pair_file"])
-    return builtin_pair_j3_l8()
+def _resolve_pair(path: str | None):
+    return load_pair(path) if path else builtin_pair_j3_l8()
+
+
+_Setting = namedtuple("_Setting", "default type help metavar", defaults=[None])
+# Every simulate setting but pair_file (set by --pair or --builtin-3x8): its config
+# key, default, and the type and help of the flag --key (with - for _) that sets it.
+_SETTINGS = {
+    "p": _Setting(None, int, "circulant size P"),
+    "p_grid": _Setting(None, _parse_grid, "physical error rates", "a,b,c"),
+    "seed": _Setting(0, int, "run seed (default 0)"),
+    "max_iters": _Setting(DecoderConfig.max_iterations, int, "decoder iteration cap"),
+    "llr_clip": _Setting(DecoderConfig.llr_clip, float, "message magnitude bound"),
+    "damping": _Setting(DecoderConfig.damping, float, "check-message damping in [0,1)"),
+    "min_frame_errors": _Setting(StopRule.min_frame_errors, int,
+                                 "stop a point after this many failures"),
+    "max_trials": _Setting(StopRule.max_trials, int, "trial cap per point"),
+    "threads": _Setting(None, int, "processes that decode, this one included "
+                        "(default: every usable CPU)"),
+    "max_logged_failures": _Setting(1000, int, "failure records kept per point"),
+}
+_number = lambda v: type(v) in (int, float)  # exact types, so JSON true/false is not a number
+# The JSON values a config key takes, by the type of the flag that sets it, and their name.
+_JSON_TYPES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (_number, "a number"),
+    _parse_grid: (lambda v: type(v) is list and all(map(_number, v)), "a list of numbers"),
+    str: (lambda v: type(v) is str, "a string or null"),  # pair_file
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _load_config_file(path: str) -> dict:
@@ -120,19 +149,12 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
-def _check_config_value(where: str, key: str, value, default) -> None:
-    """Reject a wrong JSON type or a value below its minimum; null only where the default is."""
-    numbers = (int, float)  # exact types, so JSON true/false is not a number
-    if key == "pair_file":
-        ok, what = type(value) is str, "a string or null"
-    elif key == "p_grid":
-        ok = type(value) is list and all(type(v) in numbers for v in value)
-        what = "a list of numbers"
-    elif key in ("llr_clip", "damping"):
-        ok, what = type(value) in numbers, "a number"
-    else:
-        ok, what = type(value) is int, "an integer"
-    if not (ok or (value is None and default is None)):
+def _check_config_value(where: str, key: str, value) -> None:
+    """Reject a value that is not of its flag's JSON type or is below its minimum;
+    null only where the default is."""
+    default, kind = (None, str) if key == "pair_file" else _SETTINGS[key][:2]
+    ok, what = _JSON_TYPES[kind]
+    if not (ok(value) or (value is None and default is None)):
         raise ValueError(f"{where}: config key {key!r} must be {what}, got {json.dumps(value)}")
     low = {"threads": 1, "max_logged_failures": 0}.get(key)
     if low is not None and value is not None and value < low:
@@ -141,40 +163,27 @@ def _check_config_value(where: str, key: str, value, default) -> None:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Defaults < config file < explicit flags."""
-    cfg = {
-        "pair_file": None,
-        "p": None,
-        "p_grid": None,
-        "seed": 0,
-        "max_iters": DecoderConfig.max_iterations,
-        "llr_clip": DecoderConfig.llr_clip,
-        "damping": DecoderConfig.damping,
-        "min_frame_errors": StopRule.min_frame_errors,
-        "max_trials": StopRule.max_trials,
-        "threads": None,
-        "max_logged_failures": 1000,
-    }
-    if getattr(args, "config", None):
+    cfg = {"pair_file": None, **{key: s.default for key, s in _SETTINGS.items()}}
+    if args.config:
         file_cfg = _load_config_file(args.config)
         for key, value in file_cfg.items():  # dropping a misspelt max_trials would run the default
             if key not in cfg:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
-            _check_config_value(args.config, key, value, cfg[key])
+            _check_config_value(args.config, key, value)
         cfg.update(file_cfg)
-    # Every key but pair_file is also the dest of the flag that sets it.
-    flags = {k: v for k in cfg if (v := getattr(args, k, None)) is not None}
+    flags = {k: v for k in _SETTINGS if (v := getattr(args, k)) is not None}
     for key, value in flags.items():
-        _check_config_value("--" + key.replace("_", "-"), key, value, cfg[key])
+        _check_config_value(_flag(key), key, value)
     cfg.update(flags)
     if args.pair:
         cfg["pair_file"] = args.pair
-    elif getattr(args, "builtin_3x8", False):
+    elif args.builtin_3x8:
         cfg["pair_file"] = None
     return cfg
 
 
 def cmd_code(args: argparse.Namespace) -> int:
-    pair = load_pair(args.pair) if args.pair else builtin_pair_j3_l8()
+    pair = _resolve_pair(args.pair)
     if args.scan_p is not None:
         hits = []
         print("P,orthogonal,girth_x,girth_z,girth6")
@@ -213,8 +222,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"simulate: grid value {p} outside [0, 1)", file=sys.stderr)
             return 2
 
-    pair = _resolve_pair(cfg)
-    code = build_code(pair, cfg["p"])
+    code = build_code(_resolve_pair(cfg["pair_file"]), cfg["p"])
     dec_cfg = DecoderConfig(
         max_iterations=cfg["max_iters"],
         llr_clip=cfg["llr_clip"],
@@ -332,23 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo FER/BER sweep")
     _add_pair_source(p_sim)
-    p_sim.add_argument("--p", type=int, help="circulant size P")
-    p_sim.add_argument(
-        "--p-grid", type=_parse_grid, metavar="a,b,c", help="physical error rates"
-    )
-    p_sim.add_argument("--seed", type=int, help="run seed (default 0)")
-    p_sim.add_argument("--max-iters", type=int, help="decoder iteration cap")
-    p_sim.add_argument("--llr-clip", type=float, help="message magnitude bound")
-    p_sim.add_argument("--damping", type=float, help="check-message damping in [0,1)")
-    p_sim.add_argument(
-        "--min-frame-errors", type=int, help="stop a point after this many failures"
-    )
-    p_sim.add_argument("--max-trials", type=int, help="trial cap per point")
-    p_sim.add_argument("--threads", type=int, help="processes that decode, this one included "
-                       "(default: every usable CPU)")
-    p_sim.add_argument(
-        "--max-logged-failures", type=int, help="failure records kept per point"
-    )
+    for key, s in _SETTINGS.items():
+        p_sim.add_argument(_flag(key), type=s.type, metavar=s.metavar, help=s.help)
     p_sim.add_argument("--out", metavar="DIR", help="output directory (default .)")
     p_sim.add_argument(
         "--config", metavar="FILE", help="JSON config or manifest to replay"

@@ -4,11 +4,11 @@ A code is a pair of binary parity-check matrices (H_X, H_Z), each a
 J x L block array of P x P circulant permutation matrices, held as its
 :class:`~qcldpc.gf2.TannerGraph`.  The block shifts come from two integer
 exponent matrices; construction expands the blocks straight into each
-row's column indices, then verifies CSS orthogonality (H_X @ H_Z^T = 0
-over GF(2)) and the exact (column weight J, row weight L) regularity
-that the decoder relies on.  Non-orthogonal or irregular pairs are
-rejected loudly: nothing downstream is meaningful without these
-invariants.
+row's column indices, which fixes the row weight at L and the column
+weight at J (the regularity the decoder relies on, verified by the
+TannerGraph constructor), then verifies CSS orthogonality (H_X @ H_Z^T = 0
+over GF(2)).  Non-orthogonal pairs are rejected loudly: nothing
+downstream is meaningful without these invariants.
 """
 
 from __future__ import annotations
@@ -244,8 +244,9 @@ def _circulant_size(pair: tuple[ExponentMatrix, ExponentMatrix], P: int) -> int:
 def build_code(pair: tuple[ExponentMatrix, ExponentMatrix], P: int) -> QuantumQcCode:
     """Expand an exponent pair at circulant size P and validate the result.
 
-    Verifies (rather than assumes) CSS orthogonality and exact
-    (J, L)-regularity of both matrices.
+    Verifies (rather than assumes) CSS orthogonality.  The expansion fixes
+    both matrices' (column, row) weights at (J, L), and the TannerGraph
+    constructor verifies that each is regular.
 
     Args:
         pair: (X factor, Z factor) exponent matrices of equal shape.
@@ -255,7 +256,7 @@ def build_code(pair: tuple[ExponentMatrix, ExponentMatrix], P: int) -> QuantumQc
         The validated code with n = P * L.
 
     Raises:
-        CodeValidationError: On an orthogonality or weight violation.
+        CodeValidationError: On an orthogonality violation.
         ValueError: On shape mismatch, or P not an integer >= 2.
     """
     P = _circulant_size(pair, P)
@@ -270,11 +271,6 @@ def build_code(pair: tuple[ExponentMatrix, ExponentMatrix], P: int) -> QuantumQc
             f"H_X @ H_Z^T is nonzero at block ({bad[0]}, {bad[1]}); "
             "the exponent pair is not orthogonal at P = " + str(P)
         )
-    for name, h in (("H_X", h_x), ("H_Z", h_z)):
-        if (h.deg_check, h.deg_var) != (L, J):
-            raise CodeValidationError(
-                f"{name} (row, column) weights ({h.deg_check}, {h.deg_var}) != ({L}, {J})"
-            )
     return QuantumQcCode(e_x=e_x, e_z=e_z, P=P, J=J, L=L, n=P * L, h_x=h_x, h_z=h_z)
 
 

@@ -285,8 +285,8 @@ class JointBpDecoder:
 
         S is (B, rows of H_Z), T is (B, rows of H_X), one frame per row;
         returns one DecodeOutcome of B rows.  `stopped`, if given, is
-        called once per message-passing round; when it returns True the
-        batch is abandoned and None is returned.
+        called at the top of each message-passing round; when it returns
+        True the batch is abandoned and None is returned.
         """
         S = as_bits("S", S, np.shape(S)[:1] + (self.gx.m,))
         T = as_bits("T", T, S.shape[:1] + (self.gz.m,))
@@ -311,8 +311,6 @@ class JointBpDecoder:
         rows = np.flatnonzero(fail)  # each column's frame
         if p_d == 0.0 or not len(rows):
             return res
-        if stopped is not None and stopped():
-            return None
         # P[k] is the k-fold product of tanh(clip(c0) / 2), in the chain's order, so slot
         # k's excl is P[k] * P[d-1-k]; its message, clip(2 (1 - 2 s) arctanh(excl)) damped
         # against the zero message, is column s of table.
@@ -324,6 +322,8 @@ class JointBpDecoder:
         v = self._views(syn[:, rows])
         table.take(v.syn.view(np.uint8), axis=1, out=v.msg.reshape(v.slots), mode="wrap")
         for it in range(1, cap + 1):
+            if stopped is not None and stopped():
+                return None
             # Totals lam + Lambda, as in decode (diff is formed in total).
             v.msg.take(self._var_rows, axis=0, out=v.gath, mode="wrap")
             np.add.reduce(v.gath, axis=0, out=v.lam)
@@ -351,8 +351,6 @@ class JointBpDecoder:
                 v = self._views(syn)
                 v.msg[...], v.new[...] = msg, t
                 t = v.new
-            if stopped is not None and stopped():
-                return None
             # Check update, as in _check_update, from the edge totals in t = v.new.
             np.subtract(t, v.msg, out=t)
             t.clip(-clip, clip, out=t)

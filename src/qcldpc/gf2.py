@@ -91,6 +91,9 @@ class TannerGraph:
         """
         if bits.shape[-1:] != (self.n,):
             raise ValueError(f"bits have shape {bits.shape}, expected last axis {self.n}")
+        # One gather for both would cost: bits[..., check_vars] makes a vector's call about
+        # 1.5x slower, and bits.take(check_vars, axis=-1) a batch's about 1.8x (its C-order
+        # copy leaves the reduce a short inner axis).
         gathered = bits[self.check_vars] if bits.ndim == 1 else bits[:, self.check_vars]
         return np.bitwise_xor.reduce(gathered, axis=-1)
 

@@ -242,6 +242,7 @@ class _Fold:
 class _Board:
     """What a sweep's lanes share: the parent's and those of the workers it forks.
 
+    `code` and `decoder` decode every chunk; workers inherit both at the fork.
     `points` holds the sweep's (point_index, p_d) pairs, one slot each.  Per slot,
     `claimed` counts the chunks handed out, changed under `lock`; `head` (chunks
     folded) and `done` are written by the parent only.  A slot whose claimed chunks
@@ -251,12 +252,13 @@ class _Board:
     these are plain lists and thread primitives.
     """
 
-    def __init__(self, points: Sequence[tuple[int, float]], seed: int, max_trials: int,
-                 workers: int):
+    def __init__(self, code: QuantumQcCode, decoder: JointBpDecoder,
+                 points: Sequence[tuple[int, float]], seed: int, max_trials: int, workers: int):
         for point_index, p_d in points:  # checked here, before any lane starts
             _trial_key(seed, point_index, 0)  # the key's seed and point fields
             if not 0.0 <= p_d < 1.0:
                 raise ValueError(f"p_d must be in [0, 1), got {p_d}")
+        self.code, self.decoder = code, decoder
         self.points, self.seed, self.max_trials = tuple(points), seed, max_trials
         self.chunk = _CHUNK
         self.chunks = -(-max_trials // _CHUNK)
@@ -291,20 +293,20 @@ class _Board:
         finally:
             self.lock.release()
 
-    def run(self, code: QuantumQcCode, decoder: JointBpDecoder, k: int, c: int,
+    def run(self, k: int, c: int,
             stopped: Callable[[], bool] | None) -> tuple[list[int], list[TrialRecord]]:
-        """_run_trials of chunk c of slot k."""
+        """_run_trials of chunk c of slot k, with the board's code and decoder."""
         point_index, p_d = self.points[k]
         start = c * self.chunk
-        return _run_trials(code, decoder, p_d, self.seed, point_index, start,
+        return _run_trials(self.code, self.decoder, p_d, self.seed, point_index, start,
                            min(self.chunk, self.max_trials - start), stopped)
 
 
-def _lane(code: QuantumQcCode, decoder: JointBpDecoder, board: _Board, i: int,
-          conn: Connection) -> None:
-    """Worker i's lane: send what the folds of its claimed chunks take until no
-    point has chunks left, then None, or the error that ended it.  A chunk
-    whose point is done before it is sent, or while it decodes, is dropped."""
+def _lane(board: _Board, i: int, conn: Connection) -> None:
+    """Worker i's lane on the board it inherited: send what the folds of its
+    claimed chunks take until no point has chunks left, then None, or the
+    error that ended it.  A chunk whose point is done before it is sent, or
+    while it decodes, is dropped."""
     end = None
     try:
         done, k = board.done, -1
@@ -313,7 +315,7 @@ def _lane(code: QuantumQcCode, decoder: JointBpDecoder, board: _Board, i: int,
             if k < 0:
                 board.wake.acquire()
                 continue
-            chunk = board.run(code, decoder, k, c, lambda: done[k])
+            chunk = board.run(k, c, lambda: done[k])
             if chunk[0] and not done[k]:
                 board.sent[i] += 1  # before sending, so the parent never waits on an empty pipe
                 conn.send((k, c, *chunk))
@@ -328,9 +330,8 @@ class _Lanes:
     point, fed with each chunk as it is decoded or arrives, whichever point
     it is for, and reads the pipes of `workers`, (process, reader) pairs."""
 
-    def __init__(self, code: QuantumQcCode, decoder: JointBpDecoder, board: _Board,
-                 stop: StopRule, max_logged_failures: int):
-        self.code, self.decoder, self.board = code, decoder, board
+    def __init__(self, board: _Board, stop: StopRule, max_logged_failures: int):
+        self.board = board
         self.folds = [_Fold(stop, max_logged_failures) for _ in board.points]
         self.arrived: list[dict[int, list]] = [{} for _ in board.points]
         self.workers: list[tuple[multiprocessing.Process, Connection]] = []
@@ -351,7 +352,7 @@ class _Lanes:
                 continue
             self.k, c = claim
             stopped = (lambda k=self.k: self._read() or board.done[k]) if self.workers else None
-            chunk = board.run(self.code, self.decoder, self.k, c, stopped)
+            chunk = board.run(self.k, c, stopped)
             if chunk[0] and not board.done[self.k]:
                 self._add(self.k, c, chunk)
             self._read()
@@ -409,19 +410,21 @@ class _Lanes:
 
 
 @contextmanager
-def _pool(code: QuantumQcCode, cfg: DecoderConfig, workers: int, stop: StopRule, seed: int,
-          points: Sequence[tuple[int, float]], max_logged_failures: int):
+def _pool(code: QuantumQcCode, cfg: DecoderConfig | None, workers: int | None, stop: StopRule,
+          seed: int, points: Sequence[tuple[int, float]], max_logged_failures: int):
     """Yields the _Lanes of the parent and of workers - 1 forked workers over
-    `points`, (point_index, p_d) pairs, which inherit the decoder built here.
+    `points`, (point_index, p_d) pairs, which inherit the decoder built here
+    (cfg None means DecoderConfig(); workers is read as by _check_workers).
     On leaving, the workers end their lanes or, on an error, are terminated.
     A worker's pipe reads EOF if it dies, as the parent closes its writer."""
-    board = _Board(points, seed, stop.max_trials, workers)
-    lanes = _Lanes(code, JointBpDecoder.for_code(code, cfg), board, stop, max_logged_failures)
+    workers = _check_workers(workers)
+    board = _Board(code, JointBpDecoder.for_code(code, cfg), points, seed, stop.max_trials,
+                   workers)
+    lanes = _Lanes(board, stop, max_logged_failures)
     try:
         for i in range(workers - 1):
             reader, writer = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(target=_lane,
-                                           args=(code, lanes.decoder, board, i, writer))
+            proc = multiprocessing.Process(target=_lane, args=(board, i, writer))
             proc.start()
             writer.close()
             lanes.workers.append((proc, reader))
@@ -478,13 +481,11 @@ def run_point(
     for any worker count: results are bit-identical for a fixed (code, p_d,
     stop, seed, cfg).  max_logged_failures caps `failures` only; every
     count covers all trials.  `pool`, the lanes _pool opened for a sweep
-    that holds this point (with this code, cfg, stop, seed and cap), is
-    used and left open; run_sweep passes it, and the call returns once
-    this point is done, having decoded and folded chunks of any point
-    meanwhile.  Without it, the point opens its own.
+    that holds this point with this code, stop and seed, is used in place
+    of cfg, workers and max_logged_failures and left open; run_sweep passes
+    it, and the call returns once this point is done, having decoded and
+    folded chunks of any point meanwhile.  Without it, the point opens its own.
     """
-    workers = _check_workers(workers)
-    cfg = cfg or DecoderConfig()
     with nullcontext(pool) if pool is not None else _pool(
         code, cfg, workers, stop, seed, [(point_index, p_d)], max_logged_failures
     ) as lanes:
@@ -514,24 +515,9 @@ def run_sweep(
     diffs = np.diff(np.asarray(p_grid, dtype=float))
     if len(p_grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("p_grid must be strictly increasing or decreasing")
-    cfg = cfg or DecoderConfig()
-    workers = _check_workers(workers)
     points = [(i, float(p)) for i, p in enumerate(p_grid)]
     with _pool(code, cfg, workers, stop, seed, points, max_logged_failures) as lanes:
-        return [
-            run_point(
-                code,
-                p,
-                stop,
-                seed,
-                cfg,
-                workers=workers,
-                point_index=i,
-                max_logged_failures=max_logged_failures,
-                pool=lanes,
-            )
-            for i, p in points
-        ]
+        return [run_point(code, p, stop, seed, point_index=i, pool=lanes) for i, p in points]
 
 
 def floor_statistics(

@@ -204,6 +204,11 @@ def test_syndrome_length_mismatch(code5):
         extract_syndrome(code5, zero_error(code5.n + 1))
 
 
+def test_pauli_error_rejects_components_of_unequal_length():
+    with pytest.raises(ValueError, match="^x and z must be 1-D arrays of equal length$"):
+        PauliError(np.zeros(5, np.uint8), np.zeros(4, np.uint8))
+
+
 @pytest.mark.parametrize("side", ["x", "z"])
 @pytest.mark.parametrize("value", [2, 0.7])
 def test_pauli_error_rejects_non_binary_bits(side, value):

@@ -55,6 +55,27 @@ def test_code_rejects_malformed_pair(tmp_path, capsys):
     assert "error" in err
 
 
+def test_code_scan_with_no_girth6_size(capsys):
+    code, out, _ = run_cli(["code", "--builtin-3x8", "--scan-p", "2..24"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 23 + 1 and not any(l.endswith(",*") for l in lines)
+    assert lines[-1] == "# no girth-6 size in range"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["code", "--builtin-3x8", "--scan-p", "5"], "expected a range like 3..64, got '5'"),
+    (["code", "--builtin-3x8", "--scan-p", "9..3"], "invalid scan range '9..3'"),
+    (["simulate", "--builtin-3x8", "--p", "5", "--p-grid", "0.1,x"],
+     "invalid probability grid '0.1,x'"),
+])
+def test_unparsable_flag_values_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": {message}\n")
+
+
 def test_code_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["code", "--builtin-3x8"])  # neither --p nor --scan-p
@@ -192,6 +213,55 @@ def test_simulate_flags_override_config(tmp_path, capsys):
     manifest = json.loads((run2 / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 43
     assert manifest["config"]["p_grid"] == [0.3]
+
+
+def same_sweep(a, b):
+    return all((a / f).read_bytes() == (b / f).read_bytes()
+               for f in ("sweep.csv", "failures.jsonl"))
+
+
+def test_simulate_from_a_pair_file(tmp_path, capsys):
+    pair = tmp_path / "pair.txt"
+    qcldpc.dump_pair(qcldpc.builtin_pair_j3_l8(), pair)
+    flags = SIM_ARGS[2:] + ["--p-grid", "0.3,0.2"]  # all but simulate --builtin-3x8
+    runs = {name: tmp_path / name for name in ("builtin", "file", "replay", "override")}
+    assert run_cli(["simulate", "--builtin-3x8", *flags, "--out", str(runs["builtin"])],
+                   capsys)[0] == 0
+    assert run_cli(["simulate", "--pair", str(pair), *flags, "--out", str(runs["file"])],
+                   capsys)[0] == 0
+    assert same_sweep(runs["builtin"], runs["file"])
+    manifest = runs["file"] / "manifest.json"
+    assert json.loads(manifest.read_text())["config"]["pair_file"] == str(pair)
+
+    replay = ["simulate", "--config", str(manifest), "--out", str(runs["replay"])]
+    assert run_cli(replay, capsys)[0] == 0
+    assert same_sweep(runs["file"], runs["replay"])
+    # --builtin-3x8 overrides the manifest's pair_file, which is then never read.
+    pair.unlink()
+    override = ["simulate", "--config", str(manifest), "--builtin-3x8",
+                "--out", str(runs["override"])]
+    assert run_cli(override, capsys)[0] == 0
+    assert same_sweep(runs["file"], runs["override"])
+    assert json.loads((runs["override"] / "manifest.json").read_text())["config"]["pair_file"] is None
+
+
+def test_simulate_missing_size_is_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["simulate", "--builtin-3x8", "--p-grid", "0.3", "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert "(--p)" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_simulate_rejects_a_config_that_is_a_json_list(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"p": 5, "p_grid": [0.3]}]))
+    code, _, err = run_cli(
+        ["simulate", "--config", str(path), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 1
+    assert err == f"error: {path}: expected a JSON config object or a manifest\n"
 
 
 @pytest.mark.parametrize("wrap", [False, True])

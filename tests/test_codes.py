@@ -97,6 +97,28 @@ def test_load_pair_trailing_content(tmp_path):
         load_pair(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# only\n\n# comments\n", "unexpected end of file"),
+    ("# header\n3 8 1\n", "line 2: expected header 'J L', found 3 tokens"),
+    ("0 8\n", "line 1: J and L must be positive"),
+])
+def test_load_pair_rejects_a_missing_or_bad_header(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ExponentPairParseError) as exc:
+        load_pair(path)
+    assert str(exc.value) == message
+    assert main(["code", "--pair", str(path), "--p", "5"]) == 1  # an input error
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("rows, match", [([], "must be non-empty"),
+                                         ([[1, 2], [3]], "rows have unequal lengths")])
+def test_exponent_matrix_rejects_no_rows_and_ragged_rows(rows, match):
+    with pytest.raises(ValueError, match=f"^exponent matrix {match}$"):
+        ExponentMatrix(rows)
+
+
 # ---------------------------------------------------------------------------
 # build_code
 
@@ -126,19 +148,6 @@ def test_build_code_rejects_shape_mismatch(pair):
     short = ExponentMatrix(e_x.entries[:2])
     with pytest.raises(ValueError, match="shape"):
         build_code((e_x, short), 5)
-
-
-def test_build_code_rejects_wrong_degrees(pair, monkeypatch):
-    # Expansion always gives row weight L and column weight J, so graphs of
-    # other degrees are put in its place to reach build_code's own check.
-    real = expand_exponent_matrix
-    for remake, want in ((lambda rows: np.vstack([rows, rows]), "(8, 6)"),
-                         (lambda rows: rows.reshape(-1, 4), "(4, 3)")):
-        monkeypatch.setattr("qcldpc.codes.expand_exponent_matrix",
-                            lambda em, P: TannerGraph(remake(real(em, P).check_vars), 8 * P))
-        with pytest.raises(CodeValidationError) as exc:
-            build_code(pair, 5)
-        assert str(exc.value) == f"H_X (row, column) weights {want} != (8, 3)"
 
 
 def test_build_code_rejects_tiny_p(pair):

@@ -368,30 +368,38 @@ def test_run_point_raises_when_a_chunk_fails_to_pickle():
 
 
 _KILLED_WORKER = """
-import multiprocessing, os, signal
+import multiprocessing, os, signal, time
 from qcldpc import build_code, builtin_pair_j3_l8, sim
-real = sim._run_trials
+real, real_claim = sim._run_trials, sim._Board.claim
+reached = multiprocessing.Value("b", 0)  # set by a worker at the call that kills it
 
-def dies(code, decoder, p_d, seed, point_index, start, *args):
-    if point_index == 1 and multiprocessing.parent_process() is not None:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return real(code, decoder, p_d, seed, point_index, start, *args)
+def killed():
+    reached.value = 1
+    os.kill(os.getpid(), signal.SIGKILL)
 
-real_claim = sim._Board.claim
+def run(code, decoder, p_d, seed, point_index, start, count, stopped=None):
+    if multiprocessing.parent_process() is not None:
+        if patch == "_run_trials" and point_index == 1:
+            killed()
+    else:
+        # The parent's lane decodes nothing until a worker has reached its kill, and
+        # reads the workers' messages meanwhile, so the sweep cannot end before it.
+        while not reached.value:
+            if stopped():
+                return [], []
+            time.sleep(0.001)
+    return real(code, decoder, p_d, seed, point_index, start, count, stopped)
 
 def dies_holding_the_lock(board, k):
-    if k >= 0 and multiprocessing.parent_process() is not None:
+    if patch == "claim" and k >= 0 and multiprocessing.parent_process() is not None:
         board.lock.acquire()
-        os.kill(os.getpid(), signal.SIGKILL)
+        killed()
     return real_claim(board, k)
 
+sim._run_trials, sim._Board.claim = run, dies_holding_the_lock
 for patch in ("_run_trials", "claim"):
-    if patch == "_run_trials":
-        sim._run_trials = dies
-    else:
-        sim._run_trials, sim._Board.claim = real, dies_holding_the_lock
+    reached.value = 0
     try:
-        # Enough chunks that the workers claim some before the parent's lane is done.
         sim.run_sweep(build_code(builtin_pair_j3_l8(), 5), [0.1, 0.05, 0.02],
                       sim.StopRule(1000, 10**5), 1, workers=3)
     except RuntimeError as exc:
@@ -574,7 +582,8 @@ def test_run_trials_gives_python_ints():
 
 def test_board_never_claims_a_done_points_chunks():
     # Two lanes, a and b, over three points of four chunks, window 2.
-    board = sim._Board([(0, 0.1), (1, 0.1), (2, 0.1)], seed=0, max_trials=100, workers=1)
+    board = sim._Board(None, None, [(0, 0.1), (1, 0.1), (2, 0.1)], seed=0, max_trials=100,
+                       workers=1)  # claims only: no chunk is decoded
     assert (board.chunks, board.window) == (4, 2)
     assert board.claim(-1) == (0, 0)  # a: the first point
     assert board.claim(-1) == (1, 0)  # b: a point with no chunk claimed but not folded
@@ -595,7 +604,8 @@ def test_board_moves_a_lane_to_a_point_whose_claimed_chunks_are_all_folded(folde
     # Lane a holds point 0's one claimed chunk; lane b fills its window on
     # point 1 and moves.  Once a's chunk is folded, point 0 counts as having
     # no lane on it, though a has not claimed again, and comes first.
-    board = sim._Board([(0, 0.1), (1, 0.1), (2, 0.1)], seed=0, max_trials=100, workers=1)
+    board = sim._Board(None, None, [(0, 0.1), (1, 0.1), (2, 0.1)], seed=0, max_trials=100,
+                       workers=1)  # claims only: no chunk is decoded
     assert [board.claim(-1), board.claim(-1), board.claim(1)] == [(0, 0), (1, 0), (1, 1)]
     board.head[0] = int(folded)
     assert board.claim(1) == (to, int(folded))
@@ -614,10 +624,11 @@ class _DoneAfter:
 
 
 def test_lane_abandons_a_chunk_whose_point_is_done_while_it_decodes(code5):
-    board = sim._Board([(0, 0.3)], seed=3, max_trials=25, workers=2)
+    board = sim._Board(code5, JointBpDecoder.for_code(code5), [(0, 0.3)], seed=3, max_trials=25,
+                       workers=2)
     board.done = _DoneAfter(reads=3)  # the claim, then two BP rounds
     reader, writer = multiprocessing.Pipe(duplex=False)
-    sim._lane(code5, JointBpDecoder.for_code(code5), board, 0, writer)
+    sim._lane(board, 0, writer)
     assert board.done.reads == 4 and list(board.sent) == [1]
     assert reader.recv() is None and not reader.poll()
     # Not done, the same chunk runs to the iteration cap.
@@ -631,10 +642,10 @@ def test_parents_chunk_is_abandoned_when_a_workers_chunk_stops_its_point(code5, 
     real, rounds, parents = sim._run_trials, [], []
     cfg, stop = DecoderConfig(max_iterations=30), StopRule(1, 600)
 
-    def worker(code, decoder, board, i, conn):
+    def worker(board, i, conn):
         while board.claimed[0] < 2:
             time.sleep(0.001)
-        for msg in ((0, 0, *real(code, decoder, 0.3, 4, 0, 0, 25)), None):
+        for msg in ((0, 0, *real(board.code, board.decoder, 0.3, 4, 0, 0, 25)), None):
             board.sent[i] += 1
             conn.send(msg)
 
